@@ -9,11 +9,15 @@ temperature t for which the density constraint reads
 so the condensation point solves g_{3/2}(1) = t_c^{-3/2} independently of
 nu. Above t_c the fugacity follows from the constraint; below it z = 1 and
 all curves collapse onto the nu-independent condensed branch.
+
+The fugacity solver and the thermodynamic functions work on temperature
+arrays: a whole grid goes through one batched bisection/Newton pass on
+(temperatures x nodes) arrays, and every scalar entry point is a length-1
+batch of the same code.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,6 +42,7 @@ __all__ = [
 _ZETA_32 = specfun.zeta_const(1.5)
 _ZETA_52 = specfun.zeta_const(2.5)
 _Z_CAP = 1.0 - 1e-12
+_FD_STEP = 1e-4
 
 
 @lru_cache(maxsize=16)
@@ -96,84 +101,138 @@ class ThermoPoint:
 
 
 def _log_powers(z, x):
-    # log(z^x) = x * log1p(z - 1): stable near z = 1 and exact at z = 1
-    if z == 1.0:
-        return np.zeros_like(x)
-    return x * math.log1p(z - 1.0)
+    # log(z^x) = x * log1p(z - 1): stable near z = 1 and exact at z = 1;
+    # one row per fugacity in z (none for a scalar z), one column per node
+    with np.errstate(divide="ignore"):
+        return np.log1p(np.asarray(z, dtype=float) - 1.0)[..., None] * x
 
 
-def _ens_sum(ens, s, z, n_nodes):
-    x, w = ens.quadrature(n_nodes)
-    return float((w * specfun.polylog_from_log(s, _log_powers(z, x))).sum())
+def _ens_sum(s, log_zx, w):
+    # row sums of w * g_s(z^x): one nu average per fugacity
+    return (w * specfun.polylog_from_log(s, log_zx)).sum(axis=-1)
+
+
+def _positive(t_star):
+    t = np.asarray(t_star, dtype=float)
+    if not np.all(t > 0.0):
+        raise ValueError(f"temperature must be positive, got {float(t[~(t > 0.0)].flat[0])!r}")
+    return t
 
 
 def critical_temperature(ens, n_nodes=64):
     """Condensation temperature t_c = [int nu g_{3/2}(1) dx]^{-2/3}; comes
     out nu-independent because z^x -> 1 for every x > 0."""
-    return _ens_sum(ens, 1.5, 1.0, n_nodes) ** (-2.0 / 3.0)
+    x, w = ens.quadrature(n_nodes)
+    return float(_ens_sum(1.5, np.zeros_like(x), w)) ** (-2.0 / 3.0)
 
 
 def solve_fugacity(t_star, ens, n_nodes=64):
-    """Root of int nu g_{3/2}(z^x) dx = t^{-3/2} on (0, 1): bisection
-    bracket then Newton polish.
+    """Root of int nu g_{3/2}(z^x) dx = t^{-3/2} on (0, 1) at each
+    temperature: bisection bracket then Newton polish.
+
+    A temperature array is solved in one batched bisection/Newton pass on
+    (temperatures x nodes) arrays; each element follows the scalar
+    algorithm and leaves the batch once it has converged. A scalar
+    temperature is a length-1 batch and returns a float.
 
     Terminates with residual < 1e-12 wherever the constraint slope permits;
     very close to the condensation point one ulp of z moves the constraint
     by more than that, and the root is instead pinned between adjacent
     floats (minimal-residual endpoint returned). A root at or beyond the
     z cap 1 - 1e-12 returns the cap itself, the condensed-branch signal the
-    thermodynamic functions act on. Raises ValueError at or below the
-    condensation temperature (there the caller takes z = 1)."""
-    if t_star <= 0.0:
-        raise ValueError(f"temperature must be positive, got {t_star!r}")
+    thermodynamic functions act on. Raises ValueError if any temperature is
+    at or below the condensation temperature (there the caller takes
+    z = 1), RuntimeError if the polish stalls."""
+    t = _positive(t_star)
+    ts = t.reshape(-1)
     t_c = critical_temperature(ens, n_nodes)
-    if t_star <= t_c:
-        raise ValueError(
-            f"t_star = {t_star:g} is in the condensed phase (t_c = {t_c:.6f}); use z = 1")
-    target = t_star ** -1.5
+    if np.any(ts <= t_c):
+        raise ValueError(f"t_star = {float(ts[ts <= t_c][0]):g} is in the condensed phase "
+                         f"(t_c = {t_c:.6f}); use z = 1")
     x, w = ens.quadrature(n_nodes)
 
-    def constraint(z):
-        return _ens_sum(ens, 1.5, z, n_nodes) - target
+    def constraint(z_rows, target):
+        return _ens_sum(1.5, _log_powers(z_rows, x), w) - target
 
-    lo, hi = 0.0, _Z_CAP
-    if constraint(hi) <= 0.0:
-        return hi
+    z = np.full(ts.shape, _Z_CAP)
+    target = ts ** -1.5
+    solve = np.flatnonzero(constraint(z, target) > 0.0)
+    target = target[solve]
+    lo, hi = np.zeros(solve.size), np.full(solve.size, _Z_CAP)
+    live = np.arange(solve.size)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        mid = 0.5 * (lo[live] + hi[live])
+        split = (mid > lo[live]) & (mid < hi[live])
+        live, mid = live[split], mid[split]
+        if not live.size:
             break
-        if constraint(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    z, resid = min(((c, constraint(c)) for c in (lo, hi)), key=lambda p: abs(p[1]))
+        up = constraint(mid, target[live]) >= 0.0
+        hi[live[up]] = mid[up]
+        lo[live[~up]] = mid[~up]
+    r_lo, r_hi = constraint(lo, target), constraint(hi, target)
+    take_hi = np.abs(r_hi) < np.abs(r_lo)
+    root, resid = np.where(take_hi, hi, lo), np.where(take_hi, r_hi, r_lo)
+    live = np.arange(solve.size)
     for _ in range(6):
-        if abs(resid) < 1e-13:
+        live = live[np.abs(resid[live]) >= 1e-13]
+        if not live.size:
             break
-        slope = float((w * x * specfun.polylog_from_log(0.5, _log_powers(z, x))).sum()) / z
-        cand = min(max(z - resid / slope, 0.0), _Z_CAP)
-        cand_resid = constraint(cand)
-        if abs(cand_resid) >= abs(resid):
-            break
-        z, resid = cand, cand_resid
-    if abs(resid) > 1e-12 and np.nextafter(lo, 1.0) < hi:
-        raise RuntimeError(f"fugacity solver stalled at t_star = {t_star:g}")
-    return z
+        zl = root[live]
+        slope = _ens_sum(0.5, _log_powers(zl, x), w * x) / zl
+        cand = np.minimum(np.maximum(zl - resid[live] / slope, 0.0), _Z_CAP)
+        cand_resid = constraint(cand, target[live])
+        better = np.abs(cand_resid) < np.abs(resid[live])
+        live = live[better]
+        root[live], resid[live] = cand[better], cand_resid[better]
+    stalled = (np.abs(resid) > 1e-12) & (np.nextafter(lo, 1.0) < hi)
+    if stalled.any():
+        raise RuntimeError(
+            f"fugacity solver stalled at t_star = {ts[solve[stalled]][0]:g}")
+    z[solve] = root
+    if t.ndim == 0:
+        return float(z[0])
+    return z.reshape(t.shape)
+
+
+def _thermo(t_star, ens, n_nodes):
+    # (z, u, c_v) at every temperature of the 1-D array t_star from one
+    # batched fugacity solve; formulas in internal_energy and specific_heat,
+    # with the z = 1 branch below t_c and where the root sits at the z cap
+    t = _positive(t_star)
+    z = np.ones_like(t)
+    above = t > critical_temperature(ens, n_nodes)
+    if above.any():
+        z[above] = solve_fugacity(t[above], ens, n_nodes)
+    u = 1.5 * t ** 2.5 * _ZETA_52
+    cv = 3.75 * t ** 1.5 * _ZETA_52
+    free = z < _Z_CAP
+    if free.any():
+        tf, zf = t[free], z[free]
+        x, w = ens.quadrature(n_nodes)
+        log_zx = _log_powers(zf, x)
+        i52 = _ens_sum(2.5, log_zx, w)
+        g32 = specfun.polylog_from_log(1.5, log_zx)
+        i32 = (w * g32).sum(axis=-1)
+        j32 = (w * x * g32).sum(axis=-1) / zf
+        j12 = _ens_sum(0.5, log_zx, w * x) / zf
+        dz_dt = -1.5 * i32 / (tf * j12)
+        u[free] = 1.5 * tf ** 2.5 * i52
+        cv[free] = 3.75 * tf ** 1.5 * i52 + 1.5 * tf ** 2.5 * j32 * dz_dt
+    return z, u, cv
+
+
+def thermo_point(t_star, ens, n_nodes=64):
+    """Bundle (t, z, u, cv) at one temperature: a length-1 batch of the
+    sweep core that cv_curve runs on whole grids (see internal_energy and
+    specific_heat for the formulas)."""
+    z, u, cv = _thermo(np.array([float(t_star)]), ens, n_nodes)
+    return ThermoPoint(t_star, float(z[0]), float(u[0]), float(cv[0]))
 
 
 def internal_energy(t_star, ens, n_nodes=64):
     """u(t) = (3/2) t^{5/2} int nu g_{5/2}(z^x) dx, with g_{5/2}(1) below
     the condensation point."""
-    if t_star <= 0.0:
-        raise ValueError(f"temperature must be positive, got {t_star!r}")
-    t_c = critical_temperature(ens, n_nodes)
-    if t_star <= t_c:
-        return 1.5 * t_star ** 2.5 * _ZETA_52
-    z = solve_fugacity(t_star, ens, n_nodes)
-    if z >= _Z_CAP:
-        return 1.5 * t_star ** 2.5 * _ZETA_52
-    return 1.5 * t_star ** 2.5 * _ens_sum(ens, 2.5, z, n_nodes)
+    return thermo_point(t_star, ens, n_nodes).u
 
 
 def specific_heat(t_star, ens, n_nodes=64):
@@ -185,78 +244,39 @@ def specific_heat(t_star, ens, n_nodes=64):
     where <.> is the nu average at fugacity z^x. Below the condensation
     point (and inside the near-critical guard band) the z = 1 branch
     (15/4) t^{3/2} g_{5/2}(1) applies."""
-    if t_star <= 0.0:
-        raise ValueError(f"temperature must be positive, got {t_star!r}")
-    t_c = critical_temperature(ens, n_nodes)
-    if t_star <= t_c:
-        return 3.75 * t_star ** 1.5 * _ZETA_52
-    z = solve_fugacity(t_star, ens, n_nodes)
-    if z >= _Z_CAP:
-        return 3.75 * t_star ** 1.5 * _ZETA_52
-    x, w = ens.quadrature(n_nodes)
-    log_zx = _log_powers(z, x)
-    i52 = float((w * specfun.polylog_from_log(2.5, log_zx)).sum())
-    i32 = float((w * specfun.polylog_from_log(1.5, log_zx)).sum())
-    j32 = float((w * x * specfun.polylog_from_log(1.5, log_zx)).sum()) / z
-    j12 = float((w * x * specfun.polylog_from_log(0.5, log_zx)).sum()) / z
-    dz_dt = -1.5 * i32 / (t_star * j12)
-    return 3.75 * t_star ** 1.5 * i52 + 1.5 * t_star ** 2.5 * j32 * dz_dt
+    return thermo_point(t_star, ens, n_nodes).cv
 
 
-def thermo_point(t_star, ens, n_nodes=64):
-    """Bundle (t, z, u, cv) at one temperature."""
-    t_c = critical_temperature(ens, n_nodes)
-    if t_star <= t_c:
-        z = 1.0
-    else:
-        z = solve_fugacity(t_star, ens, n_nodes)
-    return ThermoPoint(t_star, z, internal_energy(t_star, ens, n_nodes),
-                       specific_heat(t_star, ens, n_nodes))
-
-
-def _fd_relerr(t_star, ens, cv, n_nodes, step=1e-4):
-    up = internal_energy(t_star + step, ens, n_nodes)
-    down = internal_energy(t_star - step, ens, n_nodes)
-    fd = (up - down) / (2.0 * step)
-    return abs(cv - fd) / max(abs(cv), 1e-30)
-
-
-def cv_curve(sigmas, t_grid, out=None, n_nodes=64):
+def cv_curve(sigmas, t_grid, n_nodes=64):
     """Specific-heat sweep over ensemble widths.
 
     sigma = 0 selects the degenerate (single-gas) ensemble, sigma > 0 the
     lognormal superposition. Each row carries the analytic c_v and the
     relative deviation of the central finite difference of u (step 1e-4);
-    the two agree away from the immediate vicinity of t_c. Rows are emitted
-    in (sigma, t) grid order. When out is given the table is written as CSV
-    with header sigma,T_star,z,u,cv,cv_fd_relerr.
+    the two agree away from the immediate vicinity of t_c. Per ensemble the
+    grid and both finite-difference neighbours of every point go through
+    one batched fugacity solve, and each row equals thermo_point at its
+    temperature. Rows are emitted in (sigma, t) grid order with keys
+    sigma, T_star, z, u, cv, cv_fd_relerr.
     """
     t_grid = [float(t) for t in t_grid]
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be sorted ascending")
     if any(t <= 0.0 for t in t_grid):
         raise ValueError("temperatures must be positive")
+    grid = np.array(t_grid)
+    n = grid.size
     rows = []
     for sigma in sigmas:
         sigma = float(sigma)
         ens = Ensemble.single() if sigma == 0.0 else Ensemble.lognormal(sigma)
-        for t in t_grid:
-            pt = thermo_point(t, ens, n_nodes)
-            rows.append({
-                "sigma": sigma,
-                "T_star": t,
-                "z": pt.z,
-                "u": pt.u,
-                "cv": pt.cv,
-                "cv_fd_relerr": _fd_relerr(t, ens, pt.cv, n_nodes),
-            })
-    if out is not None:
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sigma", "T_star", "z", "u", "cv", "cv_fd_relerr"])
-            for r in rows:
-                writer.writerow([repr(r["sigma"]), repr(r["T_star"]), repr(r["z"]),
-                                 repr(r["u"]), repr(r["cv"]), repr(r["cv_fd_relerr"])])
+        z, u, cv = _thermo(np.concatenate([grid, grid + _FD_STEP, grid - _FD_STEP]),
+                           ens, n_nodes)
+        fd = (u[n:2 * n] - u[2 * n:]) / (2.0 * _FD_STEP)
+        relerr = np.abs(cv[:n] - fd) / np.maximum(np.abs(cv[:n]), 1e-30)
+        rows += [{"sigma": sigma, "T_star": t, "z": float(z[i]), "u": float(u[i]),
+                  "cv": float(cv[i]), "cv_fd_relerr": float(relerr[i])}
+                 for i, t in enumerate(t_grid)]
     return rows
 
 

@@ -705,7 +705,8 @@ def ground_state_potential(f, grid):
 def residual_check(f, grid, exclusion_cells=3):
     """Relative residual ||(-Lap + V) exp(-W)|| / ||exp(-W)|| on the grid
     interior, with the pair-coincidence set excluded by a margin of
-    exclusion_cells grid cells for log-singular fields."""
+    exclusion_cells grid cells for log-singular fields. Raises RuntimeError
+    when no grid point is left to measure."""
     axes = _field_axes(f, grid)
     steps = []
     for ax in axes:
@@ -746,6 +747,10 @@ def residual_check(f, grid, exclusion_cells=3):
         for i in range(f.n_particles):
             for j in range(i + 1, f.n_particles):
                 interior &= np.abs(mesh[i] - mesh[j]) > margin
+    if not interior.any():
+        # an empty mask would make the residual 0/0
+        raise RuntimeError("residual_check: no grid point lies inside the boundary "
+                           "and outside the pair-exclusion margin")
     with np.errstate(invalid="ignore"):
         residual = (-lap + v * omega_arr)[interior]
     return float(np.linalg.norm(residual) / np.linalg.norm(omega_arr[interior]))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pointgas import bec, specfun
+from pointgas import bec, cli, specfun
 
 # zeta(3/2)^(-2/3) at double precision
 TC_REF = 0.527201068797149
@@ -87,6 +87,37 @@ class TestSolveFugacity:
         ens = bec.Ensemble.lognormal(0.4)
         assert abs(bec.solve_fugacity(1.0, ens, 64)
                    - bec.solve_fugacity(1.0, ens, 128)) < 1e-9
+
+    def test_array_equals_scalar_calls_bitwise(self):
+        # straddles the z cap (t_c + 1e-7) and the near-critical band up to t = 3
+        for ens in (bec.Ensemble.single(), bec.Ensemble.lognormal(0.8),
+                    bec.Ensemble.discrete((0.5, 1.5), (0.4, 0.6))):
+            tc = bec.critical_temperature(ens)
+            grid = np.concatenate([tc + np.array([1e-7, 5e-5, 1e-3]),
+                                   np.linspace(tc + 5e-5, 3.0, 17)])
+            zs = bec.solve_fugacity(grid, ens)
+            assert isinstance(zs, np.ndarray) and zs.shape == grid.shape
+            scalar = [bec.solve_fugacity(float(t), ens) for t in grid]
+            assert all(isinstance(z, float) for z in scalar)
+            assert zs.tolist() == scalar
+            assert zs[0] == 1.0 - 1e-12
+            assert bec.solve_fugacity(grid[::-1], ens).tolist() == scalar[::-1]
+
+    def test_row_sums_stable_across_batch_sizes(self):
+        rng = np.random.default_rng(7)
+        vals = rng.standard_normal((37, 64))
+        sums = vals.sum(axis=-1)
+        for n in (1, 2, 5, 36):
+            assert vals[:n].sum(axis=-1).tolist() == sums[:n].tolist()
+        assert [float(row.sum()) for row in vals] == sums.tolist()
+
+    def test_condensed_phase_in_array_rejected(self):
+        ens = bec.Ensemble.lognormal(0.4)
+        tc = bec.critical_temperature(ens)
+        with pytest.raises(ValueError):
+            bec.solve_fugacity(np.array([0.8, 1.0, tc, 2.0]), ens)
+        with pytest.raises(ValueError):
+            bec.solve_fugacity(np.array([0.8, 0.9 * tc]), ens)
 
     def test_condensed_phase_rejected(self):
         ens = bec.Ensemble.single()
@@ -190,21 +221,34 @@ class TestCvCurve:
         for a, b in zip(small, dirac):
             assert abs(a["cv"] - b["cv"]) < 1e-3
 
+    def test_matches_thermo_point_exactly(self):
+        grid = [0.4, TC_REF + 5e-5, 0.6, 1.0, 2.5]
+        for sigma in (0.0, 0.4):
+            ens = bec.Ensemble.single() if sigma == 0.0 else bec.Ensemble.lognormal(sigma)
+            for r in bec.cv_curve([sigma], grid):
+                pt = bec.thermo_point(r["T_star"], ens)
+                assert (r["z"], r["u"], r["cv"]) == (pt.z, pt.u, pt.cv)
+
     def test_csv_bytes_stable(self, tmp_path):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        bec.cv_curve([0.4], [0.4, 0.8], out=p1)
-        bec.cv_curve([0.4], [0.4, 0.8], out=p2)
-        b1, b2 = p1.read_bytes(), p2.read_bytes()
+        argv = ["bec-curve", "sigmas=0.4", "tmin=0.4", "tmax=0.8", "steps=2"]
+        assert cli.main(argv + ["--out", str(tmp_path / "a")]) == 0
+        assert cli.main(argv + ["--out", str(tmp_path / "b")]) == 0
+        b1 = (tmp_path / "a" / "cv_curve.csv").read_bytes()
+        b2 = (tmp_path / "b" / "cv_curve.csv").read_bytes()
         assert b1 == b2
         header = b1.decode().splitlines()[0]
         assert header == "sigma,T_star,z,u,cv,cv_fd_relerr"
 
     def test_csv_roundtrip(self, tmp_path):
-        out = tmp_path / "curve.csv"
-        rows = bec.cv_curve([0.0], [0.8], out=out)
-        got = out.read_text().splitlines()[1].split(",")
-        assert float(got[3]) == rows[0]["u"]
-        assert float(got[4]) == rows[0]["cv"]
+        out = tmp_path / "curve"
+        argv = ["bec-curve", "sigmas=0", "tmin=0.8", "tmax=1.0", "steps=2", "--out", str(out)]
+        assert cli.main(argv) == 0
+        rows = bec.cv_curve([0.0], [0.8, 1.0])
+        lines = (out / "cv_curve.csv").read_text().splitlines()[1:]
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            got = [float(v) for v in line.split(",")]
+            assert got == [row[k] for k in ("sigma", "T_star", "z", "u", "cv", "cv_fd_relerr")]
 
 
 class TestSharpness:

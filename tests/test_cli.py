@@ -361,6 +361,12 @@ class TestGroundPotential:
         assert code == 0
         assert math.isfinite(read_json(out / "report.json")["residual"])
 
+    def test_empty_residual_mask_exits_3_without_outputs(self, tmp_path):
+        code, out = run_cli(tmp_path, "ground-potential", "kind=calogero",
+                            "lam=1", "points=5")
+        assert code == 3
+        assert not list(out.iterdir())
+
     def test_grid_cap(self, tmp_path):
         code, _ = run_cli(tmp_path, "ground-potential", "n_particles=3",
                           "points=101")

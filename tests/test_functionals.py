@@ -532,6 +532,12 @@ class TestGroundStatePotential:
         axes = (np.linspace(0.5, 1.1, 101), np.linspace(-1.1, -0.5, 101))
         assert fn.residual_check(gs, axes) < 1e-4
 
+    def test_empty_interior_raises(self):
+        # 5 points with a 3-cell exclusion margin leave no point to measure
+        gs = fn.GroundStateField(2, "calogero", omega=1.0, lam=1.0)
+        with pytest.raises(RuntimeError):
+            fn.residual_check(gs, np.linspace(-1.0, 1.0, 5))
+
     def test_three_particle_laplacian_constant(self):
         # harmonic: -Lap W = -2 w N (N-1) shows up as V at coincident points
         gs = fn.GroundStateField(3, "harmonic", omega=0.7)
