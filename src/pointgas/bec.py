@@ -262,8 +262,10 @@ def cv_curve(sigmas, t_grid, n_nodes=64):
     t_grid = [float(t) for t in t_grid]
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be sorted ascending")
-    if any(t <= 0.0 for t in t_grid):
-        raise ValueError("temperatures must be positive")
+    if any(t <= _FD_STEP for t in t_grid):
+        raise ValueError(
+            f"temperatures must exceed the finite-difference step {_FD_STEP:g}; "
+            f"smallest grid temperature is {min(t_grid)!r}")
     grid = np.array(t_grid)
     n = grid.size
     rows = []

@@ -378,7 +378,7 @@ def _cmd_functional_check(cfg, out):
                 f, unit, functionals.MixingMeasure.exponential(p["rho_bar"]))
             quad_val = _exp_mixture_quad(a, p["rho_bar"])
         else:
-            # mixing-law quadrature vs the series evaluation
+            # mixing-law quadrature vs the contour evaluation
             mu = functionals.IntensityMeasure(box, p["rho_bar"])
             a = functionals.field_integral(f, box)
             taus, w = specfun.mixing_quadrature(p["alpha"])
@@ -441,8 +441,17 @@ def _cmd_sample_measure(cfg, out):
     return ["counts.csv", "report.json"]
 
 
+# largest girard-limit n_max: the doubled run's (4 n_max + 1)^2 complex
+# matrices then peak at about 220 MB
+_GIRARD_N_MAX = 512
+
+
 def _cmd_girard_limit(cfg, out):
     p = cfg.parameters
+    if p["n_max"] > _GIRARD_N_MAX:
+        raise ValueError(
+            f"n_max must not exceed {_GIRARD_N_MAX}: the doubled run's dense mode "
+            f"matrices would need more than about 220 MB")
     if not 0.0 < p["width"] <= p["length"]:
         raise ValueError("width must lie in (0, length]")
     if any(b <= 0.0 for b in p["betas"]):
@@ -644,7 +653,7 @@ def run(config):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, OverflowError, FloatingPointError) as exc:
+    except (RuntimeError, OverflowError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

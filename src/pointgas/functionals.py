@@ -17,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 from scipy import integrate, linalg
 from scipy.special import gammaln
@@ -435,76 +434,23 @@ def _lognormal_mixture_adaptive(sigma, a):
     return out / math.sqrt(math.pi)
 
 
-def _series_cost(alpha, mag):
-    # location and log-size of the largest series term
-    n_peak = max(1.0, mag ** (1.0 / alpha) / alpha)
-    ln_max = n_peak * math.log(mag) - math.lgamma(alpha * n_peak + 1.0) if mag > 0 else 0.0
-    return n_peak, ln_max
-
-
 def char_fractional(f, mu, alpha):
     """Mittag-Leffler composition E_alpha(Z), Z = rho * int (e^{if} - 1) dx,
-    by direct series summation; requires |Z| <= 30.
+    for |Z| <= 50.
 
-    Compensated float summation while the largest term stays small; wide
-    arguments switch to arbitrary-precision summation. For genuinely real Z
-    the equivalent negative-axis evaluator is used. Arguments whose series
-    would need more than ~700 digits (small alpha with large complex Z) are
-    rejected; the fractional mixture of char_compound covers those.
+    Evaluated by specfun.mittag_leffler, whose contour evaluator covers real
+    and complex arguments (Re Z <= 0 holds by construction). A numerically
+    real Z, |Im Z| <= 1e-14 max(1, |Re Z|), is passed as a real argument and
+    the result carries a zero imaginary part.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"fractional order must lie in (0, 1], got {alpha!r}")
     z = mu.rho * field_integral(f, mu.box)
-    if abs(z) > 30.0:
-        raise ValueError(f"series argument |Z| = {abs(z):.3g} outside the domain (<= 30)")
-    if alpha == 1.0:
-        return cmath.exp(z)
-    if z == 0.0:
-        return 1.0 + 0.0j
-    if abs(z.imag) <= 1e-14 * max(1.0, abs(z.real)) and z.real < 0.0:
+    if abs(z) > 50.0:
+        raise ValueError(f"argument |Z| = {abs(z):.3g} outside the domain (<= 50)")
+    if abs(z.imag) <= 1e-14 * max(1.0, abs(z.real)):
         return complex(specfun.mittag_leffler(alpha, z.real), 0.0)
-    n_peak, ln_max = _series_cost(alpha, abs(z))
-    if ln_max < 7.0:
-        return _ml_series_complex(alpha, z, n_peak)
-    dps = 25 + int(1.3 * ln_max / math.log(10.0))
-    if dps > 700:
-        raise QuadratureError(
-            "series summation infeasible for this argument; evaluate through "
-            "char_compound with a fractional mixing measure instead")
-    return _ml_series_mp(alpha, z, dps, n_peak)
-
-
-def _ml_series_complex(alpha, z, n_peak):
-    # compensated complex summation; gamma ratios keep the recurrence cheap
-    total = 1.0 + 0.0j
-    comp = 0.0j
-    term = 1.0 + 0.0j
-    for n in range(1, 4000):
-        ratio = math.exp(math.lgamma(alpha * (n - 1) + 1.0) - math.lgamma(alpha * n + 1.0))
-        term = term * z * ratio
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if n > n_peak and abs(term) < 1e-17 * max(abs(total), 1e-3):
-            break
-    return total
-
-
-def _ml_series_mp(alpha, z, dps, n_peak):
-    with mp.workdps(dps):
-        a = mp.mpf(alpha)  # exact gamma arguments, no double rounding
-        zz = mp.mpc(z)
-        total = mp.mpc(1)
-        n = 0
-        while True:
-            n += 1
-            term = zz ** n / mp.gamma(a * n + 1)
-            total += term
-            if n > n_peak and abs(term) < mp.mpf(10) ** (-22):
-                return complex(total)
-            if n > 200000:
-                raise QuadratureError("fractional series did not converge")
+    return specfun.mittag_leffler(alpha, z)
 
 
 def weights_fractional(alpha, m, n_max):

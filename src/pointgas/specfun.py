@@ -2,9 +2,10 @@
 
 Polylogarithms of order 1/2, 3/2, 5/2 on [0, 1]; a frozen table of Riemann
 zeta values feeding the near-unit expansion; the Mittag-Leffler function
-E_alpha and its derivatives on the negative real axis; the one-sided
-alpha-stable density, the heavy-tailed mixing law it induces (density,
-quadrature rule, exact sampler); and the lognormal intensity profile.
+E_alpha on the left half-plane and its derivatives on the negative real
+axis; the one-sided alpha-stable density, the heavy-tailed mixing law it
+induces (density, quadrature rule, exact sampler); and the lognormal
+intensity profile.
 
 Everything here is a pure function of its arguments; the sampler is a pure
 function of the generator state.
@@ -12,7 +13,9 @@ function of the generator state.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -105,11 +108,8 @@ def _polylog_near_one_coeffs(s):
 
 def polylog(order, z):
     """Bounded polylogarithm sum_{k>=1} z^k / k^order for order in
-    {1/2, 3/2, 5/2} and z in [0, 1].
-
-    Direct series for z <= 0.5; for z > 0.5 the near-unit expansion
-    Gamma(1-s) w^(s-1) + sum_k zeta(s-k)(-w)^k / k!  with w = -ln z.
-    Accepts scalars or arrays. z = 1 is rejected for order 1/2.
+    {1/2, 3/2, 5/2} and z in [0, 1]: polylog_from_log at log z, with z = 0
+    mapping to 0. Accepts scalars or arrays. z = 1 is rejected for order 1/2.
     """
     s = float(order)
     if s not in POLYLOG_ORDERS:
@@ -120,26 +120,17 @@ def polylog(order, z):
             raise ValueError("polylog argument must lie in [0, 1]")
         if s == 0.5 and za.max() >= 1.0:
             raise ValueError("polylog(1/2, z) diverges at z = 1")
-    out = np.empty(za.shape, dtype=float)
-    low = za <= 0.5
-    if low.any():
-        out[low] = np.polynomial.polynomial.polyval(za[low], _polylog_series_coeffs(s))
-    hi = ~low
-    if hi.any():
-        w = -np.log(za[hi])
-        head = math.gamma(1.0 - s) * w ** (s - 1.0)
-        out[hi] = head + np.polynomial.polynomial.polyval(w, _polylog_near_one_coeffs(s))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    with np.errstate(divide="ignore"):
+        return polylog_from_log(s, np.log(za))
 
 
 def polylog_from_log(order, log_z):
     """polylog(order, e^{log_z}) taking the log argument directly.
 
-    Keeps full precision when e^{log_z} would round to within one ulp of 1:
-    the near-unit expansion consumes w = -log_z without the exp/log round
-    trip. Same orders and domain (log_z <= 0) as polylog.
+    Direct series in z = e^{log_z} for z <= 1/2; above it, the near-unit
+    expansion Gamma(1-s) w^(s-1) + sum_k zeta(s-k)(-w)^k / k! in
+    w = -log_z, which keeps full precision when e^{log_z} would round to
+    within one ulp of 1. Same orders and domain (log_z <= 0) as polylog.
     """
     s = float(order)
     if s not in POLYLOG_ORDERS:
@@ -170,69 +161,65 @@ def _check_alpha(alpha):
         raise ValueError(f"fractional order must lie in (0, 1], got {alpha!r}")
 
 
-def _check_ml_domain(x):
-    if not -50.0 <= x <= 0.0:
-        raise ValueError(f"Mittag-Leffler argument must lie in [-50, 0], got {x!r}")
+def _check_ml_domain(z):
+    if not (z.real <= 0.0 and abs(z) <= 50.0):
+        raise ValueError(
+            f"Mittag-Leffler argument must satisfy Re z <= 0 and |z| <= 50, got {z!r}")
 
 
-def _ml_series_small(alpha, x):
-    # |x| <= 1: every term is bounded by ~1.13, compensated summation
-    lx = math.log(-x)
-    total = 1.0
-    comp = 0.0
-    for k in range(1, 4000):
-        mag = math.exp(k * lx - math.lgamma(alpha * k + 1.0))
-        term = -mag if k % 2 else mag
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if mag < 1e-18:
-            break
-    return total
+# trapezoid step u_max / _ML_NODES on the contour parameter u in [-u_max, u_max]
+_ML_NODES = 64
 
 
-def _ml_branch_integral(alpha, z):
-    # E_alpha(-z) for z > 1 via the branch-cut representation
-    #   sin(pi a)/(pi a) * int_0^inf exp(-(z v)^(1/a)) / (v^2 + 2 v cos(pi a) + 1) dv
-    # written in the scale-free variable v so the kernel peak stays O(1).
-    ca = math.cos(math.pi * alpha)
-    inv_a = 1.0 / alpha
+def _ml_contour(alpha, z):
+    # E_alpha(z) = (1/2 pi i) int e^s s^(alpha-1) / (s^alpha - z) ds on the
+    # parabola s(u) = mu (1 + iu)^2, trapezoid rule in u (Weideman & Trefethen
+    # 2007, Math. Comp. 76:1341); u_max puts Re s(+-u_max) at -40. For
+    # |arg z| < alpha pi the integrand has a pole at s* = z^(1/alpha), at
+    # distance d = |Re sqrt(s*/mu) - 1| from the real u axis. mu then balances
+    # rounding (e^mu eps) against discretisation (exp(-2 pi d N / u_max)), and
+    # the residue e^(s*)/alpha is added when the pole lies outside the
+    # parabola (Garrappa 2015, SIAM J. Numer. Anal. 53:1350).
+    mu, residue = 4.0, 0.0
+    if abs(cmath.phase(z)) < alpha * math.pi:
+        pole = z ** (1.0 / alpha)
+        c = cmath.sqrt(pole).real
 
-    def integrand(v):
-        return math.exp(-((z * v) ** inv_a)) / (v * v + 2.0 * ca * v + 1.0)
+        def error(m):
+            d = abs(cmath.sqrt(pole / m).real - 1.0)
+            return (math.exp(m) * sys.float_info.epsilon
+                    + math.exp(-2.0 * math.pi * d * _ML_NODES / math.sqrt(1.0 + 40.0 / m)))
 
-    vmax = (745.0 ** alpha + 5.0) / z
-    pts = []
-    if ca < 0.0:
-        # Lorentzian peak of the rational factor (alpha > 1/2)
-        width = math.sin(math.pi * alpha)
-        pts += [max(-ca - 3.0 * width, vmax * 1e-12), -ca, min(-ca + 3.0 * width, vmax)]
-    if 1.0 / z < vmax:
-        pts.append(1.0 / z)
-    pts = sorted(p for p in set(pts) if 0.0 < p < vmax)
-    val, _ = integrate.quad(integrand, 0.0, vmax, points=pts or None,
-                            limit=400, epsabs=1e-300, epsrel=1e-13)
-    return math.sin(math.pi * alpha) / (math.pi * alpha) * val
+        mu = min((4.0, 4.0 * c * c, c * c / 2.25), key=error)
+        if cmath.sqrt(pole / mu).real > 1.0:
+            residue = cmath.exp(pole) / alpha
+    u_max = math.sqrt(1.0 + 40.0 / mu)
+    w = 1.0 + 1j * np.linspace(-u_max, u_max, 2 * _ML_NODES + 1)
+    s = mu * w * w
+    sa = s ** alpha
+    total = (np.exp(s) * (sa / s) * w / (sa - z)).sum()
+    return complex(mu * u_max / (math.pi * _ML_NODES) * total) + residue
 
 
-def mittag_leffler(alpha, x):
-    """E_alpha(x) = sum_{n>=0} x^n / Gamma(alpha n + 1) on -50 <= x <= 0.
+def mittag_leffler(alpha, z):
+    """E_alpha(z) = sum_{n>=0} z^n / Gamma(alpha n + 1) for Re z <= 0, |z| <= 50.
 
-    Compensated series summation where the terms are bounded (|x| <= 1);
-    beyond that the alternating series cancels catastrophically in double
-    precision, so the equivalent branch-cut integral is used instead.
-    Result lies in (0, 1] and decreases in |x|.
+    A real z returns a float (in (0, 1], decreasing in |z|); a complex z
+    returns a complex. Both go through one evaluator: the Bromwich integral
+    on a parabolic contour, plus the pole residue where |arg z| < alpha pi.
+    alpha = 1 is exp(z).
     """
     _check_alpha(alpha)
-    _check_ml_domain(x)
-    if x == 0.0:
-        return 1.0
-    if alpha == 1.0:
-        return math.exp(x)
-    if x >= -1.0:
-        return _ml_series_small(alpha, x)
-    return _ml_branch_integral(alpha, -x)
+    _check_ml_domain(z)
+    is_complex = isinstance(z, complex)
+    z = complex(z)
+    if z == 0.0:
+        val = 1.0 + 0.0j
+    elif alpha == 1.0:
+        val = cmath.exp(z)
+    else:
+        val = _ml_contour(alpha, z)
+    return val if is_complex else val.real
 
 
 def mittag_leffler_deriv(alpha, n, x):
@@ -248,6 +235,7 @@ def mittag_leffler_deriv(alpha, n, x):
     if n != int(n) or n < 0 or n > 200:
         raise ValueError(f"derivative order must be an integer in [0, 200], got {n!r}")
     n = int(n)
+    x = float(x)
     _check_ml_domain(x)
     if n == 0:
         return mittag_leffler(alpha, x)

@@ -3,12 +3,16 @@ deterministic outputs and the SVG line plotter."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pointgas import cli
+from pointgas import cli, functionals
 
 
 def run_cli(tmp_path, subcommand, *pairs, seed=0, name="out", config=None):
@@ -163,11 +167,23 @@ class TestExitCodes:
         code, _ = run_cli(tmp_path, "bec-curve", "tmin=-0.5")
         assert code == 2
 
-    def test_numerical_failure_exits_3_without_outputs(self, tmp_path):
-        # complex series argument whose summation is rejected as infeasible
+    def test_numerical_failure_exits_3_without_outputs(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise functionals.QuadratureError("injected convergence failure")
+
+        monkeypatch.setattr(functionals, "char_fractional", fail)
         code, out = run_cli(tmp_path, "functional-check",
                             "case=fractional-series", "alpha=0.25",
                             "rho_bar=24", "amp=1.5707963")
+        assert code == 3
+        assert not list(out.iterdir())
+
+    def test_memory_error_exits_3_without_outputs(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise MemoryError("injected allocation failure")
+
+        monkeypatch.setattr(functionals, "girard_functional", fail)
+        code, out = run_cli(tmp_path, "girard-limit")
         assert code == 3
         assert not list(out.iterdir())
 
@@ -222,6 +238,14 @@ class TestFunctionalCheck:
         assert code == 0
         assert read_json(out / "report.json")["max_abs_diff"] < 1e-10
 
+    def test_fractional_series_wide_argument(self, tmp_path):
+        # small alpha with |Z| up to 17: no series summation reaches it
+        code, out = run_cli(tmp_path, "functional-check",
+                            "case=fractional-series", "alpha=0.1",
+                            "rho_bar=24", "amp=1.5707963")
+        assert code == 0
+        assert read_json(out / "report.json")["max_abs_diff"] < 1e-10
+
     def test_width_validation(self, tmp_path):
         code, _ = run_cli(tmp_path, "functional-check", "width=1.5")
         assert code == 2
@@ -268,6 +292,12 @@ class TestGirardLimit:
         code, _ = run_cli(tmp_path, "girard-limit", "betas=5,-1")
         assert code == 2
 
+    def test_oversized_n_max_exits_2_without_outputs(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "girard-limit", "n_max=100000")
+        assert code == 2
+        assert "512" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
 
 class TestBecCurve:
     def test_csv_and_svg(self, tmp_path):
@@ -286,6 +316,16 @@ class TestBecCurve:
     def test_steps_validation(self, tmp_path):
         code, _ = run_cli(tmp_path, "bec-curve", "steps=1")
         assert code == 2
+
+    def test_tmin_below_fd_step_exits_2_without_outputs(self, tmp_path, capsys):
+        # the finite-difference neighbour T - 1e-4 would be negative
+        code, out = run_cli(tmp_path, "bec-curve", "tmin=0.00005", "tmax=0.5",
+                            "steps=3")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "5e-05" in err and "0.0001" in err
+        assert "-5e-05" not in err
+        assert not list(out.iterdir())
 
 
 class TestQuiverAlgebra:
@@ -445,3 +485,14 @@ class TestManifestCompleteness:
     def test_seed_is_echoed_and_effective_for_sampling(self, tmp_path):
         _, out = run_cli(tmp_path, "sample-measure", "n_samples=2000", seed=42)
         assert read_json(out / "manifest.json")["seed"] == 42
+
+
+def test_cli_import_does_not_load_mpmath():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pointgas.cli; assert 'mpmath' not in sys.modules"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -282,8 +282,9 @@ class TestCharFractional:
         assert abs(got.real - ref) < 1e-10
         assert 0.0 < got.real < 1.0
 
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 0.9])
     def test_series_matches_mixture(self, alpha):
+        # alpha = 0.75, 0.9 exceed |arg Z|/pi = 0.69: the contour's pole rule
         got = fn.char_fractional(F_PHASE, unit_measure(2.0), alpha)
         taus, w = sf.mixing_quadrature(alpha)
         ref = complex((w * np.exp(taus * 2.0 * A_PHASE)).sum())
@@ -296,12 +297,18 @@ class TestCharFractional:
         assert abs(got - ref) < 1e-9
 
     def test_domain_cap(self):
+        # f = pi on the whole box: Z = 26 * (e^{i pi} - 1) = -52
+        f = fn.TestFunction(
+            ({"shape": "indicator", "center": (0.5,), "width": 1.0, "amplitude": math.pi},))
         with pytest.raises(ValueError):
-            fn.char_fractional(F_PI_HALF, unit_measure(31.0), 0.5)
+            fn.char_fractional(f, unit_measure(26.0), 0.5)
 
     def test_infeasible_series_rejected(self):
-        with pytest.raises(fn.QuadratureError):
-            fn.char_fractional(F_PHASE, unit_measure(24.0), 0.25)
+        # once out of reach of series summation (|Z| = 13, alpha = 0.25)
+        got = fn.char_fractional(F_PHASE, unit_measure(24.0), 0.25)
+        taus, w = sf.mixing_quadrature(0.25)
+        ref = complex((w * np.exp(taus * 24.0 * A_PHASE)).sum())
+        assert abs(got - ref) < 1e-9
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):

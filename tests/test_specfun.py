@@ -41,6 +41,17 @@ ML_ORACLE = [
     (0.9, -50.0, 0.002175353076856976),
 ]
 
+# (alpha, z, E_alpha(z)) off the real axis, frozen from 250-digit summation;
+# the alpha = 0.6, 0.75, 0.9, 0.95 rows have |arg z| < alpha pi (pole rule)
+ML_COMPLEX_ORACLE = [
+    (0.95, complex(-1.2533323356430437, 9.921147013144777),
+     complex(0.0028452623005279154, -0.08961080831284782)),
+    (0.6, complex(-3.0, 4.0), complex(0.05405654417947239, 0.07850196332867804)),
+    (0.75, complex(-1.0, 7.0), complex(-0.00033055731851840386, 0.039339952076534235)),
+    (0.3, complex(-2.0, -5.0), complex(0.06373094546032369, -0.12164571576569443)),
+    (0.9, complex(-0.5, -20.0), complex(-0.0027222646059469127, -0.008505321855294266)),
+]
+
 # (s, z, Li_s(z)) frozen from arbitrary-precision summation
 POLYLOG_ORACLE = [
     (0.5, 0.2, 0.2338782633713056),
@@ -165,11 +176,26 @@ class TestMittagLeffler:
             assert all(0.0 < v <= 1.0 for v in vals)
             assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("alpha,z,want", ML_COMPLEX_ORACLE)
+    def test_complex_oracle_values(self, alpha, z, want):
+        got = sf.mittag_leffler(alpha, z)
+        assert isinstance(got, complex)
+        assert abs(got - want) < 1e-12
+
+    def test_real_argument_returns_float(self):
+        assert isinstance(sf.mittag_leffler(0.5, -2.0), float)
+        assert isinstance(sf.mittag_leffler(1.0, -2.0), float)
+        assert sf.mittag_leffler(0.5, 0j) == 1.0 + 0.0j
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             sf.mittag_leffler(0.5, 0.1)
         with pytest.raises(ValueError):
             sf.mittag_leffler(0.5, -50.1)
+        with pytest.raises(ValueError):
+            sf.mittag_leffler(0.5, complex(0.1, 3.0))
+        with pytest.raises(ValueError):
+            sf.mittag_leffler(0.5, complex(-30.0, 40.1))
         with pytest.raises(ValueError):
             sf.mittag_leffler(0.0, -1.0)
         with pytest.raises(ValueError):
