@@ -540,8 +540,7 @@ def _cmd_quiver_ground(cfg, out):
                              bond_convention=p["bond_convention"])
     method = p["method"]
     if method == "auto":
-        enumerable = 4 ** lat.n_sites <= quiver._MAX_ENUM_STATES
-        method = "exact" if enumerable else "anneal"
+        method = "exact" if quiver.exact_search_fits(lat) else "anneal"
     schedule = None
     if method == "exact":
         e_min, minimizers = quiver.ground_search_exact(lat, qp, p["electrons"])

@@ -15,6 +15,8 @@ three layers:
   ground-state enumeration, simulated annealing for larger lattices, and
   hole-pairing diagnostics (`energy`, `ground_search_exact`,
   `ground_search_anneal`, `pairing_diagnostics`, `energy_estimates`).
+  The energy is five integer counts from one term table per lattice, so
+  every path, the annealer's exact count differences included, agrees bitwise.
 
 Conventions: site index s = x * ly + y; fermion mode index 2 * site + spin
 with spin 0 = up, 1 = down; an occupation code per site packs n_up in bit 0
@@ -52,6 +54,7 @@ __all__ = [
     "vertex_matrices",
     "energy",
     "energy_batch",
+    "exact_search_fits",
     "ground_search_exact",
     "ground_search_anneal",
     "pairing_diagnostics",
@@ -173,19 +176,6 @@ class Lattice:
                     if dx * dx + dy * dy == 2:
                         out.append((a, m, n))
         return tuple(out)
-
-    @cached_property
-    def bond_index_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        arr = np.array(self.bonds_ordered, dtype=np.intp).reshape(-1, 2)
-        return arr[:, 0], arr[:, 1]
-
-    @cached_property
-    def nnn_index_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self.nnn_triples:
-            empty = np.zeros(0, dtype=np.intp)
-            return empty, empty.copy(), empty.copy()
-        arr = np.array(self.nnn_triples, dtype=np.intp)
-        return arr[:, 0], arr[:, 1], arr[:, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +650,79 @@ def vertex_matrices() -> VertexMatrices:
 # stationary energy
 
 
-def _bond_scale(p: QuiverParams) -> float:
+def _count_table() -> np.ndarray:
+    """Counts of one energy term at row 64 * kind + 16 * c0 + 4 * c1 + c2.
+
+    c0, c1, c2 are the codes of the term's three sites, padded with a
+    phantom hole.  Kinds: 0 a site (a, -, -), 1 a bond (a, b, -), 2 a
+    diagonal pair (center, m, n), the last two in both directions.  Columns:
+    doubles, bond hop channels (spins that differ between the two ends),
+    bond hole pairs, diagonal hop channels, hole-gated diagonal hop channels.
+    """
+    c0, c1, c2 = np.indices((4, 4, 4)).reshape(3, 64)
+    channels = np.array(_CODE_ELECTRONS)
+    table = np.zeros((3, 64, 5), dtype=np.uint8)
+    table[0, :, 0] = c0 == 3
+    table[1, :, 1] = channels[c0 ^ c1]
+    table[1, :, 2] = 2 * ((c0 | c1) == 0)
+    table[2, :, 3] = channels[c1 ^ c2]
+    table[2, :, 4] = channels[c1 ^ c2] * (c0 == 0)
+    return table.reshape(3 * 64, 5)
+
+
+_COUNT_TABLE = _count_table()
+# counts as 12-bit fields of a uint64: numpy sums 2047 terms (<= 4094 each) at once
+_FIELD_SHIFTS = np.arange(0, 60, 12, dtype=np.uint64)
+_PACKED_TABLE = (_COUNT_TABLE.astype(np.uint64) << _FIELD_SHIFTS).sum(axis=1, dtype=np.uint64)
+
+
+@lru_cache(maxsize=8)
+def _terms(lattice: Lattice):
+    """Every energy term: (sites (T, 3), first table rows (T,), touch, width).
+
+    Site index n_sites is the phantom hole.  touch[s] lists, for the terms
+    on site s, (s0, s1, s2, counts by code index) with the five counts
+    packed `width` bits apart: no term counts more than 2, so no total
+    reaches 2**width.
+    """
+    hole = lattice.n_sites
+    terms = [(0, a, hole, hole) for a in range(hole)]
+    terms += [(64, a, b, hole) for a, b in lattice.bonds]
+    terms += [(128, *t) for t in lattice.nnn_triples if t[1] < t[2]]
+    width = (2 * len(terms)).bit_length()
+    packed = [sum(c << (width * i) for i, c in enumerate(row)) for row in _COUNT_TABLE.tolist()]
+    touch = [[] for _ in range(hole)]
+    for row, *triple in terms:
+        for s in set(triple) - {hole}:
+            touch[s].append((*triple, tuple(packed[row:row + 64])))
+    arr = np.array(terms, dtype=np.intp)
+    return arr[:, 1:], arr[:, 0].astype(np.uint8), tuple(map(tuple, touch)), width
+
+
+def _term_counts(codes: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """The five energy counts, shape (5, m), of code rows of shape (m, n_sites)."""
+    sites, rows, _, _ = _terms(lattice)
+    padded = np.zeros((codes.shape[0], lattice.n_sites + 1), dtype=np.uint8)
+    padded[:, :-1] = codes
+    idx = rows + 16 * padded[:, sites[:, 0]] + 4 * padded[:, sites[:, 1]] + padded[:, sites[:, 2]]
+    counts = np.zeros((5, codes.shape[0]), dtype=np.int64)
+    for start in range(0, idx.shape[1], 2047):
+        packed = _PACKED_TABLE[idx[:, start:start + 2047]].sum(axis=1, dtype=np.uint64)
+        counts += ((packed >> _FIELD_SHIFTS[:, None]) & 4095).astype(np.int64)
+    return counts
+
+
+def _combine(counts, p: QuiverParams):
+    """The energy of its five counts (ints or int arrays), in one fixed order."""
+    doubles, hops, hole_pairs, diag_hops, gated_hops = counts
     # "unordered" counts each bond once by averaging both directions
-    return 1.0 if p.bond_convention == "ordered" else 0.5
+    scale = 1.0 if p.bond_convention == "ordered" else 0.5
+    e = p.U * doubles - (p.t * scale) * hops + (2.0 * p.k * scale) * hole_pairs
+    if p.alpha_q:
+        e = e - (2.0 * p.J) * diag_hops
+    if p.beta_q:
+        e = e - (2.0 * p.J) * gated_hops
+    return e
 
 
 def energy_batch(up, dn, lattice: Lattice, p: QuiverParams) -> np.ndarray:
@@ -683,38 +743,26 @@ def energy_batch(up, dn, lattice: Lattice, p: QuiverParams) -> np.ndarray:
     spin-blind summands contribute their multiplicity literally (factor 2
     on the hole-hole and diagonal terms).
 
-    Every sum above is an integer count; the counts are reduced first and
-    combined with the couplings in a fixed scalar order, so the energy is
-    bitwise invariant under any occupation symmetry that preserves the
-    counts (global spin flip, lattice symmetries).
+    Every sum above is an integer count read from one term table per
+    lattice, combined with the couplings in a fixed scalar order: the energy
+    is bitwise invariant under any symmetry that preserves the counts (spin
+    flip, lattice symmetries) and equal on every path that evaluates it.
     """
-    up = np.asarray(up, dtype=np.float64)
-    dn = np.asarray(dn, dtype=np.float64)
+    up = np.asarray(up)
+    dn = np.asarray(dn)
     if up.ndim != 2 or up.shape != dn.shape or up.shape[1] != lattice.n_sites:
         raise ValueError("up and dn must both have shape (m, n_sites)")
-    hole = (1.0 - up) * (1.0 - dn)
-    a_arr, b_arr = lattice.bond_index_arrays
-    scale = _bond_scale(p)
-    hop = up[:, b_arr] * (1.0 - up[:, a_arr]) + dn[:, b_arr] * (1.0 - dn[:, a_arr])
-    e = p.U * np.einsum("ms,ms->m", up, dn)
-    e = e - (p.t * scale) * hop.sum(axis=1)
-    e = e + (2.0 * p.k * scale) * np.einsum("mi,mi->m", hole[:, a_arr], hole[:, b_arr])
-    c_arr, m_arr, n_arr = lattice.nnn_index_arrays
-    if c_arr.size and (p.alpha_q or p.beta_q):
-        hop2 = up[:, n_arr] * (1.0 - up[:, m_arr]) + dn[:, n_arr] * (1.0 - dn[:, m_arr])
-        if p.alpha_q:
-            e = e - (2.0 * p.J) * hop2.sum(axis=1)
-        if p.beta_q:
-            e = e - (2.0 * p.J) * np.einsum("mi,mi->m", hole[:, c_arr], hop2)
-    return e
+    if not (np.isin(up, (0, 1)).all() and np.isin(dn, (0, 1)).all()):
+        raise ValueError("up and dn entries must be 0 or 1")
+    codes = up.astype(np.uint8) + 2 * dn.astype(np.uint8)
+    return _combine(_term_counts(codes, lattice), p)
 
 
 def energy(occ: Occupation, lattice: Lattice, p: QuiverParams) -> float:
     """Stationary energy of one occupation pattern (see energy_batch)."""
     if occ.n_sites != lattice.n_sites:
         raise ValueError("occupation length does not match the lattice")
-    up, dn = occ.up_dn_arrays()
-    return float(energy_batch(up[None, :], dn[None, :], lattice, p)[0])
+    return float(_combine(_term_counts(np.array([occ.codes]), lattice), p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +775,11 @@ def _decode_codes(code: int, n: int) -> tuple[int, ...]:
     return tuple((code >> (2 * (n - 1 - s))) & 3 for s in range(n))
 
 
+def exact_search_fits(lattice: Lattice) -> bool:
+    """Whether ground_search_exact may enumerate all 4**n_sites patterns."""
+    return 4 ** lattice.n_sites <= _MAX_ENUM_STATES
+
+
 def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
     """Exact minimum energy and the complete set of minimizers.
 
@@ -737,7 +790,7 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
     """
     n = lattice.n_sites
     total = 4 ** n
-    if total > _MAX_ENUM_STATES:
+    if not exact_search_fits(lattice):
         raise ValueError(
             f"exact enumeration needs {total} occupation patterns, above the "
             f"cap {_MAX_ENUM_STATES}; use ground_search_anneal for this lattice"
@@ -751,13 +804,12 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
     chunk = 1 << 18
     for start in range(0, total, chunk):
         codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (codes[:, None] >> shifts[None, :]) & 3
+        digits = ((codes[:, None] >> shifts[None, :]) & 3).astype(np.uint8)
         mask = per_code[digits].sum(axis=1) == electrons
         if not mask.any():
             continue
-        digits = digits[mask]
         codes = codes[mask]
-        e = energy_batch(digits & 1, (digits >> 1) & 1, lattice, p)
+        e = _combine(_term_counts(digits[mask], lattice), p)
         emin = float(e.min())
         if emin < best:
             best = emin
@@ -768,41 +820,24 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
     return best, minimizers
 
 
-@lru_cache(maxsize=8)
-def _anneal_tables(lattice: Lattice):
-    """Per-site lists of ordered-bond and diagonal-triple indices touching it."""
-    bond_touch = [[] for _ in range(lattice.n_sites)]
-    for idx, (a, b) in enumerate(lattice.bonds_ordered):
-        bond_touch[a].append(idx)
-        bond_touch[b].append(idx)
-    triple_touch = [[] for _ in range(lattice.n_sites)]
-    for idx, (c, m, n) in enumerate(lattice.nnn_triples):
-        for s in {c, m, n}:
-            triple_touch[s].append(idx)
-    return (
-        tuple(tuple(x) for x in bond_touch),
-        tuple(tuple(x) for x in triple_touch),
-    )
+def _draw_slot(rng, codes: list, n_slots: int, bit: int) -> int:
+    """A random spin slot holding `bit`, or -1 after 64 misses."""
+    for _ in range(64):
+        slot = int(rng.integers(0, n_slots))
+        if codes[slot >> 1] >> (slot & 1) & 1 == bit:
+            return slot
+    return -1
 
 
-def _local_energy(up, dn, sites_aff, bond_idx, triple_idx, bonds, triples, p, scale):
-    """Energy restricted to the given on-site, bond, and triple terms."""
-    e = 0.0
-    u_coef, t_coef, k_coef, j_coef = p.U, p.t * scale, p.k * scale * 2.0, p.J * 2.0
-    alpha, beta = p.alpha_q, p.beta_q
-    for s in sites_aff:
-        e += u_coef * up[s] * dn[s]
-    for i in bond_idx:
-        a, b = bonds[i]
-        e -= t_coef * (up[b] * (1 - up[a]) + dn[b] * (1 - dn[a]))
-        if k_coef:
-            e += k_coef * (1 - up[a]) * (1 - dn[a]) * (1 - up[b]) * (1 - dn[b])
-    for i in triple_idx:
-        c, m, n = triples[i]
-        w = alpha + beta * (1 - up[c]) * (1 - dn[c])
-        if w:
-            e -= j_coef * w * (up[n] * (1 - up[m]) + dn[n] * (1 - dn[m]))
-    return e
+def _site_change(codes: list, touch: tuple, site: int, code: int) -> int:
+    """Set codes[site] = code; return the change of the packed term counts."""
+    before = after = 0
+    for a, b, c, table in touch[site]:
+        before += table[16 * codes[a] + 4 * codes[b] + codes[c]]
+    codes[site] = code
+    for a, b, c, table in touch[site]:
+        after += table[16 * codes[a] + 4 * codes[b] + codes[c]]
+    return after - before
 
 
 @dataclass(frozen=True)
@@ -837,9 +872,10 @@ def ground_search_anneal(
     moves.  Moves are single-electron relocation to any empty spin slot and
     an on-site spin flip at a singly occupied site; both preserve the
     electron count.  T_init = 0 gives greedy descent (only downhill or flat
-    moves accepted), so the per-sweep energy trace is monotone.  The final
-    best energy is recomputed with `energy`, so it can never undercut the
-    exact enumeration minimum.  Deterministic for a given rng seed.
+    moves accepted), so the per-sweep energy trace is monotone.  Moves
+    change the five integer energy counts by exact differences, so every
+    running and best energy is bitwise `energy` of its state and can never
+    undercut the exact enumeration minimum.  Deterministic for a given seed.
     """
     n = lattice.n_sites
     if not 0 <= electrons <= 2 * n:
@@ -853,25 +889,20 @@ def ground_search_anneal(
     if t_init < 0 or not (0.0 < cooling < 1.0) or sweeps < 1:
         raise ValueError("schedule must be (T_init >= 0, cooling in (0, 1), sweeps >= 1)")
 
-    up = [0] * n
-    dn = [0] * n
+    # spin slot 2 * s + sigma is bit sigma of codes[s]; codes[n] is the phantom hole
+    codes = [0] * (n + 1)
     for slot in rng.permutation(2 * n)[:electrons].tolist():
-        if slot % 2 == 0:
-            up[slot // 2] = 1
-        else:
-            dn[slot // 2] = 1
+        codes[slot >> 1] |= 1 << (slot & 1)
 
-    bonds = lattice.bonds_ordered
-    triples = lattice.nnn_triples
-    bond_touch, triple_touch = _anneal_tables(lattice)
-    scale = _bond_scale(p)
+    _, _, touch, width = _terms(lattice)
+    shifts = range(0, 5 * width, width)
+    mask = (1 << width) - 1
+    counts = _term_counts(np.array([codes[:n]]), lattice)[:, 0].tolist()
+    packed = sum(c << s for c, s in zip(counts, shifts))
+    e_now = best_e = _combine(counts, p)
+    best_codes = tuple(codes[:n])
     n_slots = 2 * n
-    full = electrons == n_slots
-    empty = electrons == 0
-
-    e_now = energy(Occupation.from_arrays(up, dn), lattice, p)
-    best_e = e_now
-    best_state = (tuple(up), tuple(dn))
+    movable = 0 < electrons < n_slots
     trace = []
     accepted = 0
     temp = float(t_init)
@@ -879,78 +910,45 @@ def ground_search_anneal(
 
     for _ in range(sweeps):
         for _ in range(n_slots):
-            relocate = rng.random() < 0.5
-            if relocate:
-                if empty or full:
+            if rng.random() < 0.5:
+                if not movable:
                     continue
-                src = dst = -1
-                for _ in range(64):
-                    slot = int(rng.integers(0, n_slots))
-                    arr = up if slot % 2 == 0 else dn
-                    if arr[slot // 2]:
-                        src = slot
-                        break
-                for _ in range(64):
-                    slot = int(rng.integers(0, n_slots))
-                    arr = up if slot % 2 == 0 else dn
-                    if not arr[slot // 2]:
-                        dst = slot
-                        break
+                src = _draw_slot(rng, codes, n_slots, 1)
+                dst = _draw_slot(rng, codes, n_slots, 0)
                 if src < 0 or dst < 0:
                     continue
-                touched = (src // 2, dst // 2)
-
-                def apply():
-                    (up if src % 2 == 0 else dn)[src // 2] = 0
-                    (up if dst % 2 == 0 else dn)[dst // 2] = 1
-
-                def revert():
-                    (up if src % 2 == 0 else dn)[src // 2] = 1
-                    (up if dst % 2 == 0 else dn)[dst // 2] = 0
-
+                i, j = src >> 1, dst >> 1
+                old_i, old_j = codes[i], codes[j]
+                delta = _site_change(codes, touch, i, old_i ^ (1 << (src & 1)))
+                delta += _site_change(codes, touch, j, codes[j] ^ (1 << (dst & 1)))
             else:
-                site = -1
                 for _ in range(64):
-                    cand = int(rng.integers(0, n))
-                    if up[cand] + dn[cand] == 1:
-                        site = cand
+                    i = int(rng.integers(0, n))
+                    if codes[i] in (1, 2):
                         break
-                if site < 0:
+                else:
                     continue
-                touched = (site,)
-
-                def apply(site=site):
-                    up[site], dn[site] = dn[site], up[site]
-
-                revert = apply
-
-            if len(touched) == 2 and touched[0] != touched[1]:
-                sites_aff = touched
-                bond_idx = set(bond_touch[touched[0]]) | set(bond_touch[touched[1]])
-                triple_idx = set(triple_touch[touched[0]]) | set(triple_touch[touched[1]])
-            else:
-                sites_aff = touched[:1]
-                bond_idx = bond_touch[touched[0]]
-                triple_idx = triple_touch[touched[0]]
-            before = _local_energy(up, dn, sites_aff, bond_idx, triple_idx, bonds, triples, p, scale)
-            apply()
-            after = _local_energy(up, dn, sites_aff, bond_idx, triple_idx, bonds, triples, p, scale)
-            d_e = after - before
+                j = i
+                old_i = old_j = codes[i]
+                delta = _site_change(codes, touch, i, old_i ^ 3)
+            e_new = _combine([(packed + delta) >> s & mask for s in shifts], p)
+            d_e = e_new - e_now
             if d_e <= 0.0 or (temp > 0.0 and rng.random() < exp(-d_e / temp)):
-                e_now += d_e
+                packed += delta
+                e_now = e_new
                 accepted += 1
                 if e_now < best_e:
                     best_e = e_now
-                    best_state = (tuple(up), tuple(dn))
+                    best_codes = tuple(codes[:n])
             else:
-                revert()
+                codes[j] = old_j
+                codes[i] = old_i
         trace.append(e_now)
         temp *= cooling
 
-    occ = Occupation.from_arrays(*best_state)
     return AnnealResult(
-        best_energy=energy(occ, lattice, p),
-        best_occupation=occ,
+        best_energy=best_e,
+        best_occupation=Occupation(best_codes),
         trace=tuple(trace),
         n_accepted=accepted,
     )

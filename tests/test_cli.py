@@ -379,6 +379,14 @@ class TestQuiverGround:
         assert code == 0
         assert read_json(out / "report.json")["method"] == "anneal"
 
+    def test_auto_anneal_reruns_are_byte_identical(self, tmp_path):
+        pairs = ("lx=4", "ly=4", "electrons=12", "sweeps=50")
+        code1, out1 = run_cli(tmp_path, "quiver-ground", *pairs, seed=9, name="a")
+        code2, out2 = run_cli(tmp_path, "quiver-ground", *pairs, seed=9, name="b")
+        assert code1 == 0 and code2 == 0
+        assert read_json(out1 / "report.json")["method"] == "anneal"
+        assert tree_bytes(out1) == tree_bytes(out2)
+
     def test_electron_validation(self, tmp_path):
         code, _ = run_cli(tmp_path, "quiver-ground", "electrons=99")
         assert code == 2

@@ -444,6 +444,13 @@ class TestEnergy:
             q.energy_batch(np.zeros((2, 3)), np.zeros((2, 3)), lat, p)
         with pytest.raises(ValueError):
             q.energy_batch(np.zeros(4), np.zeros(4), lat, p)
+        # entries outside {0, 1} would alias other occupation codes
+        with pytest.raises(ValueError, match="0 or 1"):
+            q.energy_batch([[2, 0]], [[0, 5]], q.Lattice(2, 1), p)
+        with pytest.raises(ValueError, match="0 or 1"):
+            q.energy_batch(np.full((1, 4), 0.5), np.zeros((1, 4)), lat, p)
+        with pytest.raises(ValueError, match="0 or 1"):
+            q.energy_batch(np.zeros((1, 4)), -np.ones((1, 4)), lat, p)
 
 
 @pytest.fixture(scope="module")
@@ -534,6 +541,8 @@ class TestGroundSearchExact:
             assert all(m.pair(s) != (1, 1) for s in range(9))
 
     def test_size_cap_directs_to_annealing(self):
+        assert q.exact_search_fits(q.Lattice(3, 4, "open"))
+        assert not q.exact_search_fits(q.Lattice(4, 4, "open"))
         with pytest.raises(ValueError, match="anneal"):
             q.ground_search_exact(q.Lattice(4, 4, "open"),
                                   canonical_params(1, 0), 14)
@@ -576,6 +585,21 @@ class TestGroundSearchAnneal:
                                      rng=np.random.default_rng(3))
         assert len(res.trace) == 60
         assert all(a >= b for a, b in zip(res.trace, res.trace[1:]))
+
+    def test_greedy_running_energy_is_exact(self):
+        # the running energy is the count combination of the current state,
+        # so a greedy run ends exactly on its best state's energy
+        for shape in ((3, 3, "open"), (3, 3, "periodic"), (2, 4, "periodic")):
+            lat = q.Lattice(*shape)
+            for convention in ("ordered", "unordered"):
+                for flags in ((1, 0), (0, 1)):
+                    p = canonical_params(*flags, convention=convention)
+                    for seed in range(3):
+                        res = q.ground_search_anneal(
+                            lat, p, lat.n_sites - 2, schedule=(0.0, 0.5, 30),
+                            rng=np.random.default_rng(seed))
+                        assert res.trace[-1] == res.best_energy
+                        assert res.best_energy == q.energy(res.best_occupation, lat, p)
 
     def test_result_unpacks_as_pair(self, exact33):
         lat, p, _ = exact33
