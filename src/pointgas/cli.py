@@ -322,6 +322,23 @@ def emit_svg_lines(table, x_col, y_col, group_col, out):
 
 
 # ---------------------------------------------------------------------------
+# Input caps: larger inputs exit 2 before any allocation.  Each keeps the
+# peak RSS above a bare interpreter near 200 MB, as measured on a 2-vCPU
+# Linux VM (Python 3.11, numpy 2.4).
+# girard-limit n_max: the doubled run's (4 n_max + 1)^2 complex matrices
+# peak at about 220 MB.
+_GIRARD_N_MAX = 512
+# ml-weights n_max: the (mixing nodes, n_max + 1) Poisson table peaks at
+# about 225 MB for alpha = 0.01, the rule with the most nodes (2376).
+_ML_WEIGHTS_N_MAX = 4096
+# sample-measure n_samples: counts, mixing draws and MC values take about
+# 52 bytes a sample; 4,000,000 fractional samples peak at about 215 MB.
+_SAMPLE_N_MAX = 4_000_000
+# bec-curve rows (steps x sigmas): one sigma at 20000 steps peaks at about
+# 180 MB, mostly the batched fugacity solve over the grid.
+_BEC_ROWS_MAX = 20_000
+
+
 # subcommand handlers: validate, compute, then write
 
 
@@ -333,6 +350,9 @@ def _indicator(amp, width):
 
 def _cmd_ml_weights(cfg, out):
     p = cfg.parameters
+    if p["n_max"] > _ML_WEIGHTS_N_MAX:
+        raise ValueError(f"n_max must not exceed {_ML_WEIGHTS_N_MAX}: the Poisson "
+                         f"table would need more than about 225 MB")
     weights = functionals.weights_fractional(p["alpha"], p["m"], p["n_max"])
     n = np.arange(p["n_max"] + 1)
     _write_csv(out / "weights.csv", ["n", "p"],
@@ -405,6 +425,9 @@ def _cmd_functional_check(cfg, out):
 
 def _cmd_sample_measure(cfg, out):
     p = cfg.parameters
+    if p["n_samples"] > _SAMPLE_N_MAX:
+        raise ValueError(f"n_samples must not exceed {_SAMPLE_N_MAX}: the sample "
+                         f"arrays would need more than about 215 MB")
     if not 0.0 < p["width"] <= p["side"]:
         raise ValueError("width must lie in (0, side]")
     box = functionals.Box((p["side"],))
@@ -439,11 +462,6 @@ def _cmd_sample_measure(cfg, out):
         "within_three_se": bool(abs_err <= 3.0 * stderr),
     })
     return ["counts.csv", "report.json"]
-
-
-# largest girard-limit n_max: the doubled run's (4 n_max + 1)^2 complex
-# matrices then peak at about 220 MB
-_GIRARD_N_MAX = 512
 
 
 def _cmd_girard_limit(cfg, out):
@@ -490,6 +508,9 @@ def _cmd_bec_curve(cfg, out):
     p = cfg.parameters
     if p["steps"] < 2:
         raise ValueError("steps must be at least 2")
+    if p["steps"] * len(p["sigmas"]) > _BEC_ROWS_MAX:
+        raise ValueError(f"steps x sigmas must not exceed {_BEC_ROWS_MAX} rows: the "
+                         f"grid would need more than about 180 MB")
     if not 0.0 < p["tmin"] < p["tmax"]:
         raise ValueError("need 0 < tmin < tmax")
     if any(s < 0.0 for s in p["sigmas"]):

@@ -11,12 +11,14 @@ three layers:
   `check_composition`);
 * the 4x4 single-vertex representation of the directed hop maps
   (`vertex_matrices`);
-* a diagonal stationary energy on occupation patterns with exact
-  ground-state enumeration, simulated annealing for larger lattices, and
-  hole-pairing diagnostics (`energy`, `ground_search_exact`,
-  `ground_search_anneal`, `pairing_diagnostics`, `energy_estimates`).
-  The energy is five integer counts from one term table per lattice, so
-  every path, the annealer's exact count differences included, agrees bitwise.
+* a diagonal stationary energy on occupation patterns with exact ground
+  states, simulated annealing for larger lattices, and hole-pairing
+  diagnostics (`energy`, `ground_search_exact`, `ground_search_anneal`,
+  `pairing_diagnostics`, `energy_estimates`).  The energy is five integer
+  counts from one term table per lattice, so every path, the annealer's
+  exact count differences included, agrees bitwise.  The exact search is a
+  min-plus transfer matrix over lattice slices; it decides the minimum on
+  energies recomputed from the integer counts, not on its float sums.
 
 Conventions: site index s = x * ly + y; fermion mode index 2 * site + spin
 with spin 0 = up, 1 = down; an occupation code per site packs n_up in bit 0
@@ -699,17 +701,22 @@ def _terms(lattice: Lattice):
     return arr[:, 1:], arr[:, 0].astype(np.uint8), tuple(map(tuple, touch)), width
 
 
+def _count_terms(padded: np.ndarray, sites: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The five counts, shape (5, m), of the terms (sites, rows) on padded code rows."""
+    idx = rows + 16 * padded[:, sites[:, 0]] + 4 * padded[:, sites[:, 1]] + padded[:, sites[:, 2]]
+    counts = np.zeros((5, padded.shape[0]), dtype=np.int64)
+    for start in range(0, idx.shape[1], 2047):
+        packed = _PACKED_TABLE[idx[:, start:start + 2047]].sum(axis=1, dtype=np.uint64)
+        counts += ((packed >> _FIELD_SHIFTS[:, None]) & 4095).astype(np.int64)
+    return counts
+
+
 def _term_counts(codes: np.ndarray, lattice: Lattice) -> np.ndarray:
     """The five energy counts, shape (5, m), of code rows of shape (m, n_sites)."""
     sites, rows, _, _ = _terms(lattice)
     padded = np.zeros((codes.shape[0], lattice.n_sites + 1), dtype=np.uint8)
     padded[:, :-1] = codes
-    idx = rows + 16 * padded[:, sites[:, 0]] + 4 * padded[:, sites[:, 1]] + padded[:, sites[:, 2]]
-    counts = np.zeros((5, codes.shape[0]), dtype=np.int64)
-    for start in range(0, idx.shape[1], 2047):
-        packed = _PACKED_TABLE[idx[:, start:start + 2047]].sum(axis=1, dtype=np.uint64)
-        counts += ((packed >> _FIELD_SHIFTS[:, None]) & 4095).astype(np.int64)
-    return counts
+    return _count_terms(padded, sites, rows)
 
 
 def _combine(counts, p: QuiverParams):
@@ -769,55 +776,185 @@ def energy(occ: Occupation, lattice: Lattice, p: QuiverParams) -> float:
 # ground-state search
 
 
-def _decode_codes(code: int, n: int) -> tuple[int, ...]:
-    # site 0 in the most significant digit pair: integer order is
-    # lexicographic order of the per-site code tuple
-    return tuple((code >> (2 * (n - 1 - s))) & 3 for s in range(n))
+_FRONTIER_CHUNK = 4096      # partial patterns extended per numpy pass
 
 
 def exact_search_fits(lattice: Lattice) -> bool:
-    """Whether ground_search_exact may enumerate all 4**n_sites patterns."""
+    """Whether ground_search_exact accepts the lattice (4**n_sites within the cap)."""
     return 4 ** lattice.n_sites <= _MAX_ENUM_STATES
+
+
+@lru_cache(maxsize=8)
+def _slice_plan(lattice: Lattice):
+    """Slices along the longer side and the energy terms of each transfer table.
+
+    Returns (slices, groups, wrap): slices (L, w) lists the sites of each
+    slice, groups[k] the (sites, rows) of the terms whose highest slice is
+    k, and wrap the terms between the last and the first slice of a
+    periodic ring of three or more slices (None otherwise).  Each term is in
+    exactly one group: on a two-slice ring every term between the slices,
+    wrap bonds included, is in groups[1].
+    """
+    grid = np.arange(lattice.n_sites).reshape(lattice.lx, lattice.ly)
+    slices = grid if lattice.lx >= lattice.ly else grid.T
+    n_slices = slices.shape[0]
+    slice_of = np.empty(lattice.n_sites, dtype=np.intp)
+    slice_of[slices] = np.arange(n_slices)[:, None]
+    sites, rows, _, _ = _terms(lattice)
+    owner = []
+    for triple in sites.tolist():
+        touched = sorted({int(slice_of[s]) for s in triple if s < lattice.n_sites})
+        if touched[-1] - touched[0] <= 1:
+            owner.append(touched[-1])
+        elif touched == [0, n_slices - 1] and lattice.boundary == "periodic":
+            owner.append(n_slices)
+        else:
+            raise RuntimeError(f"energy term on sites {triple} spans non-adjacent slices")
+    owner = np.array(owner)
+    groups = [(sites[owner == k], rows[owner == k]) for k in range(n_slices + 1)]
+    wrap = groups.pop()
+    return slices, tuple(groups), wrap if wrap[1].size else None
+
+
+def _slice_table(lattice: Lattice, p: QuiverParams, group, *slice_sites) -> np.ndarray:
+    """Energy of the `group` terms over every code of each given slice.
+
+    A slice code packs the slice's w site codes, site j in bits 2j, 2j + 1;
+    the result has one axis of 4**w codes per slice.
+    """
+    width = len(slice_sites[0])
+    shape = (4 ** width,) * len(slice_sites)
+    codes = np.indices(shape).reshape(len(slice_sites), -1)
+    padded = np.zeros((codes.shape[1], lattice.n_sites + 1), dtype=np.uint8)
+    for sites, code in zip(slice_sites, codes):
+        padded[:, sites] = (code[:, None] >> 2 * np.arange(width)) & 3
+    return _combine(_count_terms(padded, *group), p).reshape(shape)
+
+
+def _rounding_slack(lattice: Lattice, p: QuiverParams, n_items: int) -> float:
+    """Margin above the least DP sum within which every true minimizer lies.
+
+    A float sum of j terms is within gamma_j = j u / (1 - j u) times the sum
+    of their magnitudes of the exact sum (Higham 2002, sec. 3.1), u = 2**-53.
+    With A the sum over all terms of |coupling x largest count|, an energy
+    (five products) is within 5.01 u A of its exact value, and a DP sum of
+    n_items table entries (each five products) within (n_items + 5.01) u A.
+    A true minimizer's DP sum, in any summation order, then exceeds the
+    least DP sum by at most 2 (n_items + 5.01) u A + 2 (5.01 u A) <=
+    (2 n_items + 21) u A.  The margin doubles that to cover the rounding of
+    A and of the threshold, plus 2**-1022 for subnormal products.
+    """
+    _, rows, _, _ = _terms(lattice)
+    kinds, n_terms = np.unique(rows, return_counts=True)
+    largest = sum(int(m) * _COUNT_TABLE[k:k + 64].max(axis=0).astype(int)
+                  for k, m in zip(kinds.tolist(), n_terms.tolist()))
+    doubles, hops, hole_pairs, diag_hops, gated_hops = largest.tolist()
+    # every coupling is >= 0: negated reward counts make each product positive
+    a_max = _combine((doubles, -hops, hole_pairs, -diag_hops, -gated_hops), p)
+    if not math.isfinite(2.0 * a_max):
+        raise ValueError("couplings too large: energies on this lattice would overflow")
+    return 2.0 * (2 * n_items + 21) * 2.0 ** -53 * a_max + 2.0 ** -1022
 
 
 def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
     """Exact minimum energy and the complete set of minimizers.
 
-    Enumerates every occupation with the requested electron count in
-    lexicographic order over per-site codes and returns
-    (min_energy, minimizers) with minimizers a tuple of Occupation in
-    enumeration order.
+    Returns (min_energy, minimizers) over every occupation with the
+    requested electron count, minimizers a tuple of Occupation in
+    lexicographic order of the per-site code tuple.
+
+    The lattice is cut into L slices of w = min(lx, ly) sites along its
+    longer side; every energy term touches at most two adjacent slices
+    (or the last and the first of a periodic ring).  A min-plus transfer
+    matrix over the 4**w slice codes runs over the state (first slice code
+    on a periodic ring, current slice code, electrons so far).  The DP sums
+    table entries in floating point, so it can differ from the energy in
+    the last bits: backtracking keeps every pattern whose DP sum lies within
+    a proven rounding margin of the least one, and the minimum and its
+    minimizers are decided on each candidate's energy recomputed from its
+    integer counts, bitwise equal to `energy`.
+
+    Raises ValueError above the cap of `exact_search_fits`, for an electron
+    count outside 0..2 n_sites, and for couplings so large that an energy
+    could overflow (no finite rounding margin exists then).
     """
     n = lattice.n_sites
-    total = 4 ** n
     if not exact_search_fits(lattice):
         raise ValueError(
-            f"exact enumeration needs {total} occupation patterns, above the "
+            f"exact enumeration needs {4 ** n} occupation patterns, above the "
             f"cap {_MAX_ENUM_STATES}; use ground_search_anneal for this lattice"
         )
     if not 0 <= electrons <= 2 * n:
         raise ValueError(f"electron count must lie in 0..{2 * n}")
-    shifts = 2 * np.arange(n - 1, -1, -1, dtype=np.int64)
-    per_code = np.array(_CODE_ELECTRONS, dtype=np.int64)
+    slices, groups, wrap = _slice_plan(lattice)
+    n_slices, width = slices.shape
+    n_codes = 4 ** width
+    shifts = 2 * np.arange(width)
+    code_electrons = np.array(_CODE_ELECTRONS)[(np.arange(n_codes)[:, None] >> shifts) & 3].sum(axis=1)
+    slack = _rounding_slack(lattice, p, n_slices + (wrap is not None))
+    tables = [_slice_table(lattice, p, groups[0], slices[0])]
+    tables += [_slice_table(lattice, p, groups[k], slices[k - 1], slices[k])
+               for k in range(1, n_slices)]
+
+    # forward pass: least[k][first, code, e] is the least DP sum over slices
+    # 0..k ending in `code` with e electrons (first = 0 unless on a ring)
+    n_first = 1 if wrap is None else n_codes
+    reach = np.flatnonzero(code_electrons <= electrons)
+    f = np.full((n_first, n_codes, electrons + 1), np.inf)
+    f[reach if wrap is not None else 0, reach, code_electrons[reach]] = tables[0][reach]
+    least = [f]
+    for table in tables[1:]:
+        g = np.full_like(f, np.inf)
+        for prev in range(n_codes):
+            np.minimum(g, f[:, prev, None, :] + table[prev, None, :, None], out=g)
+        f = np.full_like(g, np.inf)
+        for d in range(min(2 * width, electrons) + 1):
+            sel = code_electrons == d
+            f[:, sel, d:] = g[:, sel, :electrons + 1 - d]
+        least.append(f)
+    closing = (np.zeros((1, n_codes)) if wrap is None
+               else _slice_table(lattice, p, wrap, slices[-1], slices[0]).T)
+    total = f[:, :, electrons] + closing
+    threshold = float(total.min()) + slack
+
+    # backtracking, depth first in chunks: a partial pattern fixes slices
+    # k..L-1 (path), its first slice code, its electrons in slices 0..k and
+    # the DP sum of its tables above slice k
+    first, last = np.nonzero(total <= threshold)
+    stack = [(n_slices - 1, first, last[:, None], np.full(first.size, electrons),
+              closing[first, last])]
     best = math.inf
-    best_codes: list[int] = []
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = ((codes[:, None] >> shifts[None, :]) & 3).astype(np.uint8)
-        mask = per_code[digits].sum(axis=1) == electrons
-        if not mask.any():
+    best_keys: list = []
+    place = 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    while stack:
+        k, first, path, e, rest = stack.pop()
+        if k == 0:
+            site_codes = np.zeros((first.size, n), dtype=np.uint8)
+            site_codes[:, slices] = (path[:, :, None] >> shifts) & 3
+            e_cand = _combine(_term_counts(site_codes, lattice), p)
+            emin = float(e_cand.min())
+            if emin < best:
+                best = emin
+                best_keys = []
+            if emin == best:
+                best_keys.append(site_codes[e_cand == best] @ place)
             continue
-        codes = codes[mask]
-        e = _combine(_term_counts(digits[mask], lattice), p)
-        emin = float(e.min())
-        if emin < best:
-            best = emin
-            best_codes = []
-        if emin == best:
-            best_codes.extend(int(c) for c in codes[e == best])
-    minimizers = tuple(Occupation(_decode_codes(c, n)) for c in best_codes)
-    return best, minimizers
+        # a finite DP sum holds at least the slice's electrons, so e stays >= 0
+        e = e - code_electrons[path[:, 0]]
+        rest = tables[k][:, path[:, 0]].T + rest[:, None]
+        dp = least[k - 1][first[:, None], np.arange(n_codes), e[:, None]] + rest
+        row, prev = np.nonzero(dp <= threshold)
+        path = np.concatenate((prev[:, None], path[row]), axis=1)
+        first, e, rest = first[row], e[row], rest[row, prev]
+        for s in range(0, row.size, _FRONTIER_CHUNK):
+            cut = slice(s, s + _FRONTIER_CHUNK)
+            stack.append((k - 1, first[cut], path[cut], e[cut], rest[cut]))
+    keys = np.sort(np.concatenate(best_keys))
+    minimizers = []
+    for s in range(0, keys.size, 1 << 16):
+        digits = keys[s:s + (1 << 16), None] // place % 4
+        minimizers.extend(Occupation(tuple(row)) for row in digits.tolist())
+    return best, tuple(minimizers)
 
 
 def _draw_slot(rng, codes: list, n_slots: int, bit: int) -> int:

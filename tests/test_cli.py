@@ -221,6 +221,12 @@ class TestMlWeights:
         on_disk = {p.name for p in out.iterdir()} - {"manifest.json"}
         assert listed == on_disk
 
+    def test_oversized_n_max_exits_2_without_outputs(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "ml-weights", "alpha=0.01", "n_max=4097")
+        assert code == 2
+        assert "4096" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
 
 class TestFunctionalCheck:
     def test_exp_mixture_quadrature_matches_closed_form(self, tmp_path):
@@ -273,6 +279,12 @@ class TestSampleMeasure:
         code, _ = run_cli(tmp_path, "sample-measure", "side=0.5", "width=0.9")
         assert code == 2
 
+    def test_oversized_n_samples_exits_2_without_outputs(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "sample-measure", "n_samples=4000001")
+        assert code == 2
+        assert "4000000" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
 
 class TestGirardLimit:
     def test_zero_t_limit_and_truncation(self, tmp_path):
@@ -316,6 +328,13 @@ class TestBecCurve:
     def test_steps_validation(self, tmp_path):
         code, _ = run_cli(tmp_path, "bec-curve", "steps=1")
         assert code == 2
+
+    def test_oversized_grid_exits_2_without_outputs(self, tmp_path, capsys):
+        # 6667 steps x 3 sigmas = 20001 rows; the cap is on the product
+        code, out = run_cli(tmp_path, "bec-curve", "steps=6667")
+        assert code == 2
+        assert "20000" in capsys.readouterr().err
+        assert not list(out.iterdir())
 
     def test_tmin_below_fd_step_exits_2_without_outputs(self, tmp_path, capsys):
         # the finite-difference neighbour T - 1e-4 would be negative
@@ -378,6 +397,14 @@ class TestQuiverGround:
                             "electrons=12", "sweeps=200", seed=3)
         assert code == 0
         assert read_json(out / "report.json")["method"] == "anneal"
+
+    def test_exact_3x4(self, tmp_path):
+        code, out = run_cli(tmp_path, "quiver-ground", "lx=3", "ly=4", "electrons=10")
+        assert code == 0
+        report = read_json(out / "report.json")
+        assert report["method"] == "exact"
+        assert report["e_min"] == -34.0
+        assert report["n_degenerate"] == 16
 
     def test_auto_anneal_reruns_are_byte_identical(self, tmp_path):
         pairs = ("lx=4", "ly=4", "electrons=12", "sweeps=50")

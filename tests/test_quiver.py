@@ -1,5 +1,7 @@
 """Tests for the lattice hole-pairing model."""
 
+import functools
+import itertools
 import math
 import warnings
 
@@ -37,6 +39,26 @@ def naive_energy(occ, lattice, p):
 
 def random_occupation(rng, n_sites):
     return q.Occupation(tuple(int(c) for c in rng.integers(0, 4, n_sites)))
+
+
+@functools.lru_cache(maxsize=None)
+def all_patterns(n_sites):
+    """Every per-site code tuple, in lexicographic order."""
+    return np.array(list(itertools.product(range(4), repeat=n_sites)), dtype=np.uint8)
+
+
+def brute_force_minima(lattice, p, electron_counts):
+    """Oracle: {electrons: (minimum, minimizer code tuples)} over every pattern, by energy_batch."""
+    codes = all_patterns(lattice.n_sites)
+    up, dn = codes & 1, codes >> 1
+    e = q.energy_batch(up, dn, lattice, p)
+    electrons = up.sum(axis=1) + dn.sum(axis=1)
+    out = {}
+    for count in electron_counts:
+        e_count = np.where(electrons == count, e, np.inf)
+        e_min = e_count.min()
+        out[count] = float(e_min), [tuple(row) for row in codes[e_count == e_min].tolist()]
+    return out
 
 
 def rotation_perm(lattice):
@@ -539,6 +561,74 @@ class TestGroundSearchExact:
         _, mins = q.ground_search_exact(lat, p, 9)
         for m in mins:
             assert all(m.pair(s) != (1, 1) for s in range(9))
+
+    # (flags, convention, couplings) combinations; couplings "random" draws
+    # one-decimal values, whose float sums often differ from the energy
+    ORACLE_COMBOS = [(flags, convention, couplings)
+                     for flags in ((0, 0), (0, 1), (1, 0), (1, 1))
+                     for convention in ("ordered", "unordered")
+                     for couplings in ("zero", "canonical", "random")]
+
+    @pytest.mark.parametrize("lx,ly,boundary", [
+        (1, 1, "open"), (1, 5, "open"), (5, 1, "open"), (1, 9, "open"),
+        (2, 3, "open"), (3, 2, "open"), (2, 4, "open"), (4, 2, "open"),
+        (3, 3, "open"), (2, 2, "periodic"), (2, 3, "periodic"),
+        (3, 2, "periodic"), (2, 4, "periodic"), (4, 2, "periodic"),
+        (3, 3, "periodic"),
+    ])
+    def test_matches_brute_force_oracle(self, lx, ly, boundary):
+        lat = q.Lattice(lx, ly, boundary)
+        n = lat.n_sites
+        combos = self.ORACLE_COMBOS
+        electron_counts = range(2 * n + 1)
+        if n >= 8:
+            electron_counts = (0, 1, n - 1, n, n + 3, 2 * n)
+        if n == 8:
+            # every flag pair; the transposed lattice takes the other half
+            combos = combos[lx % 2::2]
+        if n == 9:
+            # every flag pair at one or two (convention, couplings) settings:
+            # combos[i::6] fixes setting i of ordered/unordered x zero/canonical/random
+            settings = {"open": (5,) if lx == 3 else (1,), "periodic": (2, 4)}[boundary]
+            combos = [c for i in settings for c in combos[i::6]]
+        rng = np.random.default_rng(100 * lx + ly)
+        for flags, convention, couplings in combos:
+            values = {"zero": (0.0, 0.0, 0.0, 0.0), "canonical": (100.0, 1.0, 1.8, 0.6),
+                      "random": tuple(rng.integers(0, 30, 4) / 10.0)}[couplings]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                p = q.QuiverParams(*values, *flags, bond_convention=convention)
+            oracle = brute_force_minima(lat, p, electron_counts)
+            for electrons in electron_counts:
+                e_min, mins = q.ground_search_exact(lat, p, electrons)
+                e_ref, mins_ref = oracle[electrons]
+                case = (flags, convention, values, electrons)
+                assert type(e_min) is float
+                assert e_min == e_ref, case
+                assert [m.codes for m in mins] == mins_ref, case
+
+    @pytest.mark.parametrize("lx,ly,boundary,electrons,flags,e_ref,count,first,last", [
+        # the transfer matrix's float sum reads 22.4 here
+        (2, 2, "periodic", 1, (0, 1), 22.400000000000002, 8, None, None),
+        (2, 6, "periodic", 9, (1, 0), -67.19999999999999, 496, None, None),
+        (3, 4, "open", 10, (0, 1), -34.0, 16, ".uudd.duuuud", "ddduu.ud.ddu"),
+        (3, 4, "periodic", 10, (0, 1), -47.2, 48, ".udud.duduud", "dduudud..udu"),
+    ])
+    def test_frozen_minima(self, lx, ly, boundary, electrons, flags, e_ref,
+                           count, first, last):
+        lat = q.Lattice(lx, ly, boundary)
+        p = canonical_params(*flags)
+        e_min, mins = q.ground_search_exact(lat, p, electrons)
+        assert e_min == e_ref
+        assert len(mins) == count
+        assert all(q.energy(m, lat, p) == e_min for m in mins)
+        if first is not None:
+            assert (str(mins[0]), str(mins[-1])) == (first, last)
+
+    def test_overflowing_couplings_rejected(self):
+        p = q.QuiverParams(U=1e308, t=1.0, k=1.8, J=0.6, alpha_q=0, beta_q=1)
+        with pytest.raises(ValueError, match="overflow"):
+            q.ground_search_exact(q.Lattice(2, 2), p, 4)
 
     def test_size_cap_directs_to_annealing(self):
         assert q.exact_search_fits(q.Lattice(3, 4, "open"))
