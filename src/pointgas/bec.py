@@ -77,7 +77,12 @@ class Ensemble:
         return cls(MixingMeasure.discrete(atoms, weights))
 
     def quadrature(self, n_nodes=64):
-        """Nodes and weights of int nu(x) (.) dx."""
+        """Nodes and weights of int nu(x) (.) dx; n_nodes, the size of the
+        lognormal law's Gauss-Hermite rule, must lie in [8, 256]."""
+        # numpy's hermgauss returns NaN or zero weights from about 400 nodes,
+        # and its companion-matrix eigensolve grows as n^2
+        if not 8 <= n_nodes <= 256:
+            raise ValueError(f"n_nodes must lie in [8, 256], got {n_nodes!r}")
         if self.nu.kind == "dirac":
             return np.array([1.0]), np.array([1.0])
         if self.nu.kind == "discrete":

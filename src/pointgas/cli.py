@@ -5,12 +5,12 @@ flat key=value parameters). Parameters come from defaults, then an optional
 config file, then command-line pairs; later sources win and unknown keys are
 rejected. Each successful run writes its data files plus a manifest.json
 that echoes the fully resolved configuration, so a run can be repeated
-exactly from its manifest. Outputs are written atomically (temp file then
-rename) and contain no timestamps: the same configuration and seed yields
-byte-identical files.
+exactly from its manifest. Handlers only return the text of their files;
+run() alone writes them (each staged as <name>.part, then renamed; a failed
+run leaves none). No output holds a timestamp, so reruns are byte-identical.
 
-Exit codes: 0 success, 2 invalid configuration or parameters, 3 numerical
-failure inside an otherwise valid run.
+Exit codes: 0 success, 2 invalid configuration, parameters or output
+directory, 3 numerical failure (a NaN or infinity bound for JSON included).
 """
 
 import argparse
@@ -195,14 +195,7 @@ def resolve_config(subcommand, cli_pairs=(), config_path=None, seed=0, out_dir="
 
 
 # ---------------------------------------------------------------------------
-# deterministic writers
-
-
-def _write_text(path, text):
-    # temp file + rename: readers never observe a half-written file
-    tmp = path.with_name(path.name + ".part")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+# deterministic formatters
 
 
 def _fmt_cell(val):
@@ -215,11 +208,11 @@ def _fmt_cell(val):
     return str(val)
 
 
-def _write_csv(path, header, rows):
+def _write_csv(header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt_cell(row[col]) for col in header))
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _jsonable(val):
@@ -236,8 +229,11 @@ def _jsonable(val):
     return val
 
 
-def _write_json(path, obj):
-    _write_text(path, json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
+def _write_json(obj):
+    try:  # strict JSON: a NaN or infinity in an output is a numerical failure
+        return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise RuntimeError(f"non-finite value in a JSON output ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +243,8 @@ def _write_json(path, obj):
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 
 
-def emit_svg_lines(table, x_col, y_col, group_col, out):
-    """Write a standalone SVG with one polyline per group value.
+def emit_svg_lines(table, x_col, y_col, group_col):
+    """Text of a standalone SVG with one polyline per group value.
 
     table is a nonempty sequence of row dicts; every row must carry the
     three named columns and finite numeric x/y values. Groups keep first-
@@ -318,7 +314,7 @@ def emit_svg_lines(table, x_col, y_col, group_col, out):
                      f'y2="{ly - 4}" stroke="{color}" stroke-width="1.5"/>')
         parts.append(text % (lx + 24, ly, "", f"{group_col}={lab(gval)}"))
     parts.append("</svg>")
-    _write_text(Path(out), "\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +330,12 @@ _ML_WEIGHTS_N_MAX = 4096
 # sample-measure n_samples: counts, mixing draws and MC values take about
 # 52 bytes a sample; 4,000,000 fractional samples peak at about 215 MB.
 _SAMPLE_N_MAX = 4_000_000
-# bec-curve rows (steps x sigmas): one sigma at 20000 steps peaks at about
-# 180 MB, mostly the batched fugacity solve over the grid.
+# bec-curve solve cells over 64, steps x sigmas x max(n_nodes, 64) / 64: one
+# sigma at 20000 steps of 64 nodes peaks at about 180 MB, mostly the solve.
 _BEC_ROWS_MAX = 20_000
 
 
-# subcommand handlers: validate, compute, then write
+# subcommand handlers: validate and compute, then return {filename: text}
 
 
 def _indicator(amp, width):
@@ -348,21 +344,20 @@ def _indicator(amp, width):
          "amplitude": amp},))
 
 
-def _cmd_ml_weights(cfg, out):
+def _cmd_ml_weights(cfg):
     p = cfg.parameters
     if p["n_max"] > _ML_WEIGHTS_N_MAX:
         raise ValueError(f"n_max must not exceed {_ML_WEIGHTS_N_MAX}: the Poisson "
                          f"table would need more than about 225 MB")
     weights = functionals.weights_fractional(p["alpha"], p["m"], p["n_max"])
     n = np.arange(p["n_max"] + 1)
-    _write_csv(out / "weights.csv", ["n", "p"],
-               [{"n": int(k), "p": float(w)} for k, w in zip(n, weights)])
-    _write_json(out / "report.json", {
+    rows = [{"n": int(k), "p": float(w)} for k, w in zip(n, weights)]
+    report = {
         "weight_sum": float(weights.sum()),
         "mean_count": float((n * weights).sum()),
         "tail_deficit": float(1.0 - weights.sum()),
-    })
-    return ["weights.csv", "report.json"]
+    }
+    return {"weights.csv": _write_csv(["n", "p"], rows), "report.json": _write_json(report)}
 
 
 def _exp_mixture_quad(a, rho_bar):
@@ -379,7 +374,7 @@ def _exp_mixture_quad(a, rho_bar):
     return complex(re_val, im_val)
 
 
-def _cmd_functional_check(cfg, out):
+def _cmd_functional_check(cfg):
     p = cfg.parameters
     if not 0.0 < p["width"] <= 1.0:
         raise ValueError("width must lie in (0, 1]")
@@ -414,16 +409,15 @@ def _cmd_functional_check(cfg, out):
         })
     header = ["amplitude", "quadrature_re", "quadrature_im",
               "reference_re", "reference_im", "abs_diff"]
-    _write_csv(out / "check.csv", header, rows)
-    _write_json(out / "report.json", {
+    report = {
         "case": p["case"],
         "n_points": len(rows),
         "max_abs_diff": max(r["abs_diff"] for r in rows),
-    })
-    return ["check.csv", "report.json"]
+    }
+    return {"check.csv": _write_csv(header, rows), "report.json": _write_json(report)}
 
 
-def _cmd_sample_measure(cfg, out):
+def _cmd_sample_measure(cfg):
     p = cfg.parameters
     if p["n_samples"] > _SAMPLE_N_MAX:
         raise ValueError(f"n_samples must not exceed {_SAMPLE_N_MAX}: the sample "
@@ -450,21 +444,21 @@ def _cmd_sample_measure(cfg, out):
     n_hist = min(int(counts.max()), 60)
     model = functionals.weights_fractional(order, mu.mass, n_hist)
     freq = np.bincount(np.minimum(counts, n_hist), minlength=n_hist + 1)
-    _write_csv(out / "counts.csv", ["count", "observed", "expected"],
-               [{"count": k, "observed": freq[k] / p["n_samples"],
-                 "expected": float(model[k])} for k in range(n_hist)])
+    rows = [{"count": k, "observed": freq[k] / p["n_samples"], "expected": float(model[k])}
+            for k in range(n_hist)]
     abs_err = abs(est - exact)
-    _write_json(out / "report.json", {
+    report = {
         "kind": p["kind"],
         "mc_re": est.real, "mc_im": est.imag, "mc_stderr": stderr,
         "exact_re": exact.real, "exact_im": exact.imag,
         "abs_err": abs_err,
         "within_three_se": bool(abs_err <= 3.0 * stderr),
-    })
-    return ["counts.csv", "report.json"]
+    }
+    return {"counts.csv": _write_csv(["count", "observed", "expected"], rows),
+            "report.json": _write_json(report)}
 
 
-def _cmd_girard_limit(cfg, out):
+def _cmd_girard_limit(cfg):
     p = cfg.parameters
     if p["n_max"] > _GIRARD_N_MAX:
         raise ValueError(
@@ -494,38 +488,34 @@ def _cmd_girard_limit(cfg, out):
         })
     header = ["beta", "value_re", "value_im", "doubled_re", "doubled_im",
               "truncation", "limit_distance"]
-    _write_csv(out / "girard.csv", header, rows)
-    _write_json(out / "report.json", {
+    report = {
         "zero_t_target_re": target.real,
         "zero_t_target_im": target.imag,
         "final_limit_distance": rows[-1]["limit_distance"],
         "final_truncation": rows[-1]["truncation"],
-    })
-    return ["girard.csv", "report.json"]
+    }
+    return {"girard.csv": _write_csv(header, rows), "report.json": _write_json(report)}
 
 
-def _cmd_bec_curve(cfg, out):
+def _cmd_bec_curve(cfg):
     p = cfg.parameters
     if p["steps"] < 2:
         raise ValueError("steps must be at least 2")
-    if p["steps"] * len(p["sigmas"]) > _BEC_ROWS_MAX:
-        raise ValueError(f"steps x sigmas must not exceed {_BEC_ROWS_MAX} rows: the "
-                         f"grid would need more than about 180 MB")
+    if p["steps"] * len(p["sigmas"]) * max(p["n_nodes"], 64) > _BEC_ROWS_MAX * 64:
+        raise ValueError(f"steps x sigmas x max(n_nodes, 64) must not exceed "
+                         f"{_BEC_ROWS_MAX} x 64: the grid would need over 180 MB")
     if not 0.0 < p["tmin"] < p["tmax"]:
         raise ValueError("need 0 < tmin < tmax")
     if any(s < 0.0 for s in p["sigmas"]):
         raise ValueError("sigmas must be nonnegative")
-    if p["n_nodes"] < 8:
-        raise ValueError("n_nodes must be at least 8")
     t_grid = np.linspace(p["tmin"], p["tmax"], p["steps"])
     rows = bec.cv_curve(p["sigmas"], t_grid, n_nodes=p["n_nodes"])
     header = ["sigma", "T_star", "z", "u", "cv", "cv_fd_relerr"]
-    _write_csv(out / "cv_curve.csv", header, rows)
-    emit_svg_lines(rows, "T_star", "cv", "sigma", out / "cv_curve.svg")
-    return ["cv_curve.csv", "cv_curve.svg"]
+    return {"cv_curve.csv": _write_csv(header, rows),
+            "cv_curve.svg": emit_svg_lines(rows, "T_star", "cv", "sigma")}
 
 
-def _cmd_quiver_algebra(cfg, out):
+def _cmd_quiver_algebra(cfg):
     p = cfg.parameters
     lat = quiver.Lattice(p["lx"], p["ly"], p["boundary"])
     car = quiver.build_fermion_ops(lat).car_residual()
@@ -541,19 +531,19 @@ def _cmd_quiver_algebra(cfg, out):
         {"check": "complement", "residual": comp.complement_residual},
     ])
     worst = max(r["residual"] for r in rows)
-    _write_csv(out / "algebra.csv", ["check", "residual"], rows)
-    _write_json(out / "report.json", {
+    report = {
         "max_residual": worst,
         "n_commutator_checks": comm.n_checks,
         "n_composition_checks": comp.n_checks,
         "coincident_gap": comp.coincident_gap,
         "tolerance": 1e-12,
         "passed": bool(worst <= 1e-12),
-    })
-    return ["algebra.csv", "report.json"]
+    }
+    return {"algebra.csv": _write_csv(["check", "residual"], rows),
+            "report.json": _write_json(report)}
 
 
-def _cmd_quiver_ground(cfg, out):
+def _cmd_quiver_ground(cfg):
     p = cfg.parameters
     lat = quiver.Lattice(p["lx"], p["ly"], p["boundary"])
     qp = quiver.QuiverParams(U=p["u"], t=p["t"], k=p["k"], J=p["j"],
@@ -586,18 +576,14 @@ def _cmd_quiver_ground(cfg, out):
     diagonal = min(d.diagonal_pairs for d in diags)
     cluster = max(d.largest_cluster for d in diags)
     est_10, est_01 = quiver.energy_estimates(lat.n_sites, hole_count, qp)
-    _write_csv(out / "ground.csv",
-               ["Lx", "Ly", "boundary", "electrons", "H", "alpha_q", "beta_q",
-                "U", "t", "J", "k", "bond_convention", "E_min", "n_degenerate",
-                "adjacent_hole_pairs", "max_cluster"],
-               [{"Lx": lat.lx, "Ly": lat.ly, "boundary": lat.boundary,
-                 "electrons": p["electrons"], "H": hole_count,
-                 "alpha_q": qp.alpha_q, "beta_q": qp.beta_q, "U": qp.U,
-                 "t": qp.t, "J": qp.J, "k": qp.k,
-                 "bond_convention": qp.bond_convention, "E_min": e_min,
-                 "n_degenerate": n_degenerate, "adjacent_hole_pairs": adjacent,
-                 "max_cluster": cluster}])
-    _write_json(out / "report.json", {
+    row = {"Lx": lat.lx, "Ly": lat.ly, "boundary": lat.boundary,
+           "electrons": p["electrons"], "H": hole_count,
+           "alpha_q": qp.alpha_q, "beta_q": qp.beta_q, "U": qp.U,
+           "t": qp.t, "J": qp.J, "k": qp.k,
+           "bond_convention": qp.bond_convention, "E_min": e_min,
+           "n_degenerate": n_degenerate, "adjacent_hole_pairs": adjacent,
+           "max_cluster": cluster}
+    report = {
         "method": method,
         "e_min": e_min,
         "n_degenerate": n_degenerate,
@@ -609,11 +595,11 @@ def _cmd_quiver_ground(cfg, out):
         "estimate_flag_01": est_01,
         "schedule": list(schedule) if schedule else None,
         "minimizer_samples": [str(occ) for occ in minimizers[:12]],
-    })
-    return ["ground.csv", "report.json"]
+    }
+    return {"ground.csv": _write_csv(list(row), [row]), "report.json": _write_json(report)}
 
 
-def _cmd_ground_potential(cfg, out):
+def _cmd_ground_potential(cfg):
     p = cfg.parameters
     if not 1 <= p["n_particles"] <= 3:
         raise ValueError("n_particles must lie in [1, 3]")
@@ -630,20 +616,22 @@ def _cmd_ground_potential(cfg, out):
     grid = np.linspace(p["lo"], p["hi"], p["points"])
     v = functionals.ground_state_potential(field, grid)
     resid = functionals.residual_check(field, grid, exclusion_cells=p["exclusion"])
+    finite = v[np.isfinite(v)]
+    if not finite.size:
+        raise RuntimeError("the potential has no finite value on the grid")
     mesh = np.meshgrid(*([grid] * p["n_particles"]), indexing="ij")
     cols = [f"x{i + 1}" for i in range(p["n_particles"])]
     flat = [m.ravel() for m in mesh] + [v.ravel()]
     rows = [{**{c: float(vals[j]) for c, vals in zip(cols, flat)},
              "v": float(flat[-1][j])} for j in range(flat[0].size)]
-    _write_csv(out / "potential.csv", cols + ["v"], rows)
-    finite = v[np.isfinite(v)]
-    _write_json(out / "report.json", {
+    report = {
         "residual": resid,
         "n_rows": int(flat[0].size),
         "v_min_finite": float(finite.min()),
         "v_max_finite": float(finite.max()),
-    })
-    return ["potential.csv", "report.json"]
+    }
+    return {"potential.csv": _write_csv(cols + ["v"], rows),
+            "report.json": _write_json(report)}
 
 
 _HANDLERS = {
@@ -659,24 +647,35 @@ _HANDLERS = {
 
 
 def run(config):
-    """Execute one resolved run; returns the process exit code."""
+    """Execute one resolved run; returns the process exit code. Sole writer of
+    the output directory: stages every file, then renames; a failure removes them."""
+    out = Path(config.out_dir)
+    files, placed = {}, []
     try:
-        out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        outputs = _HANDLERS[config.subcommand](config, out)
-        _write_json(out / "manifest.json", {
+        files = _HANDLERS[config.subcommand](config)
+        files["manifest.json"] = _write_json({
             "subcommand": config.subcommand,
             "seed": config.seed,
             "parameters": config.parameters,
-            "outputs": sorted(outputs),
+            "outputs": sorted(files),
         })
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        for name, text in files.items():
+            (out / (name + ".part")).write_text(text, encoding="utf-8")
+        for name in files:
+            os.replace(out / (name + ".part"), out / name)
+            placed.append(name)
+        return 0
+    except (OSError, ValueError) as exc:
+        code, err = 2, exc
     except (RuntimeError, OverflowError, FloatingPointError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    return 0
+        code, err = 3, exc
+    finally:
+        if len(placed) < len(files):
+            for name in files:
+                (out / (name if name in placed else name + ".part")).unlink(missing_ok=True)
+    print(f"error: {err}", file=sys.stderr)
+    return code
 
 
 def main(argv=None):

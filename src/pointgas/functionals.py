@@ -22,6 +22,7 @@ from scipy import integrate, linalg
 from scipy.special import gammaln
 
 from . import specfun
+from .specfun import QuadratureError
 
 __all__ = [
     "QuadratureError",
@@ -46,10 +47,6 @@ __all__ = [
     "ground_state_potential",
     "residual_check",
 ]
-
-
-class QuadratureError(RuntimeError):
-    """A numerical evaluation failed to converge to tolerance."""
 
 
 class SingularFunctionalError(RuntimeError):

@@ -32,11 +32,17 @@ __all__ = [
     "stable_density",
     "mixing_pdf",
     "mixing_quadrature",
+    "QuadratureError",
     "sample_mixing_tau",
     "lognormal_pdf",
 ]
 
 POLYLOG_ORDERS = (0.5, 1.5, 2.5)
+
+
+class QuadratureError(RuntimeError):
+    """A numerical evaluation failed to converge to tolerance."""
+
 
 # Riemann zeta at the orders required by the near-unit polylog expansion
 # (s - k for s in {1/2, 3/2, 5/2}, k = 0..29) plus zeta(0). Frozen from a
@@ -302,8 +308,8 @@ def mixing_pdf(alpha, tau):
     one-sided alpha-stable): Laplace transform E_alpha(-z), moments
     k!/Gamma(alpha k + 1).
 
-    Alternating power series near the origin while its terms stay small;
-    elsewhere the exact change of variables through the stable density.
+    A length-1 call into the array evaluator that mixing_quadrature uses;
+    tau = 0 is the series' constant term 1/Gamma(1-alpha).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"mixing_pdf requires 0 < alpha < 1, got {alpha!r}")
@@ -311,16 +317,7 @@ def mixing_pdf(alpha, tau):
         raise ValueError(f"mixing_pdf requires tau >= 0, got {tau!r}")
     if tau == 0.0:
         return 1.0 / math.gamma(1.0 - alpha)
-    k = np.arange(1, 401)
-    with np.errstate(over="ignore"):
-        logs = gammaln(k * alpha + 1.0) - gammaln(k + 1.0) + (k - 1.0) * math.log(tau)
-        signs = np.where(k % 2 == 1, 1.0, -1.0) * np.sin(k * math.pi * alpha)
-        terms = signs * np.exp(logs)
-    max_term = np.abs(terms).max() / (math.pi * alpha)
-    if max_term < 30.0:
-        return float(terms.sum() / (math.pi * alpha))
-    x = tau ** (-1.0 / alpha)
-    return stable_density(alpha, x) * tau ** (-1.0 - 1.0 / alpha) / alpha
+    return float(_mixing_pdf_many(alpha, np.array([float(tau)]))[0])
 
 
 def _gl_panels(edges, n_nodes=24):
@@ -346,10 +343,12 @@ def _phi_panel_rule(c_max):
     return _gl_panels(edges)
 
 
-def _mixing_pdf_many(alpha, taus):
-    # vectorized twin of mixing_pdf for positive tau arrays
-    taus = np.asarray(taus, dtype=float)
-    out = np.empty(taus.shape)
+def _mixing_series(alpha, taus):
+    # alternating power series of the density at positive taus, and the mask
+    # of taus where it is accepted: every one of its 400 terms below 30, and
+    # the last one negligible. That term is judged without its factor
+    # sin(k pi alpha), which can vanish at k = 400 (alpha = 0.95) while the
+    # series is still 1e-4 away from its sum.
     k = np.arange(1, 401)
     with np.errstate(over="ignore", invalid="ignore"):
         logs = (gammaln(k * alpha + 1.0) - gammaln(k + 1.0))[None, :] \
@@ -357,10 +356,25 @@ def _mixing_pdf_many(alpha, taus):
         signs = np.where(k % 2 == 1, 1.0, -1.0) * np.sin(k * math.pi * alpha)
         terms = signs[None, :] * np.exp(logs)
         max_term = np.nanmax(np.abs(terms), axis=1) / (math.pi * alpha)
-        series_ok = max_term < 30.0
-        out[series_ok] = terms[series_ok].sum(axis=1) / (math.pi * alpha)
-    rest = ~series_ok
-    if rest.any():
+        last = np.exp(logs[:, -1]) / (math.pi * alpha)
+        accepted = (max_term < 30.0) & (last < 1e-16)
+        return terms.sum(axis=1) / (math.pi * alpha), accepted
+
+
+def _mixing_pdf_many(alpha, taus):
+    # density at an array of positive taus: the series where it is accepted,
+    # elsewhere the Zolotarev/Kanter integral through the stable density
+    taus = np.asarray(taus, dtype=float)
+    out, series_ok = _mixing_series(alpha, taus)
+    rest = np.flatnonzero(~series_ok)
+    # c = t^(1/(1-alpha)) in log space: where c a(0+) > 745 the integrand
+    # exp(-c a(phi)) underflows for every phi and the density is 0; those
+    # taus stay out of c_max, which would otherwise overflow to inf
+    log_a0 = math.log1p(-alpha) + alpha / (1.0 - alpha) * math.log(alpha)
+    dead = np.log(taus[rest]) / (1.0 - alpha) + log_a0 > math.log(745.0)
+    out[rest[dead]] = 0.0
+    rest = rest[~dead]
+    if rest.size:
         t = taus[rest]
         c = t ** (1.0 / (1.0 - alpha))
         phi, pw = _phi_panel_rule(c.max())
@@ -377,7 +391,10 @@ def mixing_quadrature(alpha):
 
     Returns (nodes, weights) with the density already folded into the
     weights, so int h dnu_alpha ~= sum weights * h(nodes). The support is
-    truncated where the density falls below 1e-20.
+    truncated where the density falls below 1e-20. The rule must reproduce
+    the mass and the first two moments k!/Gamma(alpha k + 1) to 1e-8
+    relative, or QuadratureError is raised (the density evaluator fails this
+    at most orders above alpha = 0.972).
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
@@ -390,7 +407,15 @@ def mixing_quadrature(alpha):
     taus, ws = _gl_panels(np.linspace(0.0, tau_max, n_panels + 1))
     dens = _mixing_pdf_many(alpha, taus)
     keep = dens > 0.0
-    return taus[keep], (ws * dens)[keep]
+    taus, ws = taus[keep], (ws * dens)[keep]
+    k = np.arange(3.0)
+    moments = (ws * taus ** k[:, None]).sum(axis=1)
+    err = np.abs(moments * np.exp(gammaln(alpha * k + 1.0) - gammaln(k + 1.0)) - 1.0).max()
+    if not err <= 1e-8:
+        raise QuadratureError(
+            f"mixing_quadrature(alpha={alpha}): relative error {err:.2g} in the mass "
+            f"or the first two moments exceeds 1e-8")
+    return taus, ws
 
 
 def sample_mixing_tau(alpha, rng, size=None):

@@ -44,6 +44,15 @@ class TestEnsemble:
             assert abs(w.sum() - 1.0) < 1e-14
             assert np.all(x > 0.0)
 
+    @pytest.mark.parametrize("n_nodes", [7, 257, 400])
+    def test_node_count_range(self, n_nodes):
+        # from about 400 nodes numpy's rule has NaN or zero weights
+        for ens in (bec.Ensemble.single(), bec.Ensemble.lognormal(0.4)):
+            with pytest.raises(ValueError, match=r"\[8, 256\]"):
+                ens.quadrature(n_nodes)
+        x, w = bec.Ensemble.lognormal(0.4).quadrature(256)
+        assert np.all(np.isfinite(w)) and abs(w.sum() - 1.0) < 1e-13
+
 
 class TestCriticalTemperature:
     def test_reference_value(self):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -114,34 +115,30 @@ class TestEmitSvgLines:
         {"x": 1.0, "y": 3.0, "g": 0.8},
     ]
 
-    def test_empty_table_rejected(self, tmp_path):
+    def test_empty_table_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            cli.emit_svg_lines([], "x", "y", "g", tmp_path / "p.svg")
+            cli.emit_svg_lines([], "x", "y", "g")
 
-    def test_missing_column_rejected(self, tmp_path):
+    def test_missing_column_rejected(self):
         with pytest.raises(ValueError, match="'sigma' missing"):
-            cli.emit_svg_lines(self.TABLE, "x", "y", "sigma", tmp_path / "p.svg")
+            cli.emit_svg_lines(self.TABLE, "x", "y", "sigma")
         with pytest.raises(ValueError, match="'t' missing"):
-            cli.emit_svg_lines(self.TABLE, "t", "y", "g", tmp_path / "p.svg")
+            cli.emit_svg_lines(self.TABLE, "t", "y", "g")
 
-    def test_nonfinite_rejected(self, tmp_path):
+    def test_nonfinite_rejected(self):
         bad = [{"x": 0.0, "y": math.nan, "g": 1}]
         with pytest.raises(ValueError, match="finite"):
-            cli.emit_svg_lines(bad, "x", "y", "g", tmp_path / "p.svg")
+            cli.emit_svg_lines(bad, "x", "y", "g")
 
-    def test_single_row_degenerate_polyline(self, tmp_path):
-        path = tmp_path / "one.svg"
-        cli.emit_svg_lines([{"x": 2.0, "y": 3.0, "g": "only"}],
-                           "x", "y", "g", path)
-        root = ET.fromstring(path.read_text())
+    def test_single_row_degenerate_polyline(self):
+        root = ET.fromstring(cli.emit_svg_lines([{"x": 2.0, "y": 3.0, "g": "only"}],
+                                                "x", "y", "g"))
         polys = [el for el in root.iter() if el.tag.endswith("polyline")]
         assert len(polys) == 1
         assert len(polys[0].get("points").split()) == 1
 
-    def test_one_polyline_per_group_and_legend(self, tmp_path):
-        path = tmp_path / "three.svg"
-        cli.emit_svg_lines(self.TABLE, "x", "y", "g", path)
-        text = path.read_text()
+    def test_one_polyline_per_group_and_legend(self):
+        text = cli.emit_svg_lines(self.TABLE, "x", "y", "g")
         root = ET.fromstring(text)
         polys = [el for el in root.iter() if el.tag.endswith("polyline")]
         assert len(polys) == 3
@@ -150,11 +147,9 @@ class TestEmitSvgLines:
         # axis extremes are labeled
         assert ">0<" in text and ">1<" in text and ">3<" in text
 
-    def test_deterministic_bytes(self, tmp_path):
-        p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-        cli.emit_svg_lines(self.TABLE, "x", "y", "g", p1)
-        cli.emit_svg_lines(self.TABLE, "x", "y", "g", p2)
-        assert p1.read_bytes() == p2.read_bytes()
+    def test_deterministic_bytes(self):
+        assert (cli.emit_svg_lines(self.TABLE, "x", "y", "g")
+                == cli.emit_svg_lines(self.TABLE, "x", "y", "g"))
 
 
 class TestExitCodes:
@@ -187,6 +182,25 @@ class TestExitCodes:
         assert code == 3
         assert not list(out.iterdir())
 
+    def test_out_naming_existing_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("keep\n")
+        code = cli.main(["ml-weights", "n_max=8", "--out", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert target.read_text() == "keep\n"
+
+    def test_unwritable_output_file_removes_staged_files(self, tmp_path):
+        # a directory squatting on report.json fails the last rename; every
+        # file of the run, staged or already renamed, is removed
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        code = cli.main(["ml-weights", "n_max=8", "--out", str(out)])
+        assert code == 2
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+
     def test_missing_config_file_exits_2(self, tmp_path):
         code, _ = run_cli(tmp_path, "ml-weights",
                           config=tmp_path / "absent.cfg")
@@ -196,6 +210,43 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["frobnicate"])
         assert excinfo.value.code == 2
+
+
+# one cheap run per subcommand, for the failure-injection test
+SMALL_RUNS = {
+    "ml-weights": ("n_max=8",),
+    "functional-check": (),
+    "sample-measure": ("n_samples=200",),
+    "girard-limit": ("betas=5", "n_max=8"),
+    "bec-curve": ("sigmas=0.4", "tmin=0.45", "tmax=0.7", "steps=5"),
+    "quiver-algebra": ("lx=2", "ly=1"),
+    "quiver-ground": (),
+    "ground-potential": ("points=11",),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(cli.PARAM_SPECS))
+def test_failure_after_first_output_leaves_no_files(tmp_path, monkeypatch, sub):
+    """Every handler builds at least two artifacts. The first is produced
+    normally; the next artifact's formatter raises, as a numerical failure
+    in the last computation would. The run must exit 3 with nothing in the
+    output directory."""
+    calls = []
+
+    def failing_after_first(fmt):
+        def wrapped(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise RuntimeError("injected failure")
+            return fmt(*args)
+        return wrapped
+
+    for name in ("_write_csv", "_write_json", "emit_svg_lines"):
+        monkeypatch.setattr(cli, name, failing_after_first(getattr(cli, name)))
+    code, out = run_cli(tmp_path, sub, *SMALL_RUNS[sub])
+    assert len(calls) == 2
+    assert code == 3
+    assert not list(out.iterdir())
 
 
 class TestMlWeights:
@@ -209,6 +260,21 @@ class TestMlWeights:
         report = read_json(out / "report.json")
         assert abs(report["weight_sum"] - 1.0) < 1e-10
         assert report["mean_count"] > 0.0
+
+    def test_order_near_one_exits_3_without_outputs(self, tmp_path, capsys):
+        # the mixing-law rule fails its moment gate
+        start = time.perf_counter()
+        code, out = run_cli(tmp_path, "ml-weights", "alpha=0.999")
+        assert time.perf_counter() - start < 5.0
+        assert code == 3
+        assert "moments" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    def test_order_098_keeps_its_mass(self, tmp_path):
+        # the rule used to lose 1.8 % of its mass here and still exit 0
+        code, out = run_cli(tmp_path, "ml-weights", "alpha=0.98")
+        assert code == 0
+        assert abs(read_json(out / "report.json")["weight_sum"] - 1.0) < 1e-8
 
     def test_manifest_echoes_resolved_config(self, tmp_path):
         code, out = run_cli(tmp_path, "ml-weights", "alpha=0.25", seed=9)
@@ -275,6 +341,13 @@ class TestSampleMeasure:
         for row in rows[:5]:
             assert abs(float(row["observed"]) - float(row["expected"])) < 0.05
 
+    def test_fractional_order_near_one_exits_3_without_outputs(self, tmp_path):
+        start = time.perf_counter()
+        code, out = run_cli(tmp_path, "sample-measure", "kind=fractional", "alpha=0.999")
+        assert time.perf_counter() - start < 10.0
+        assert code == 3
+        assert not list(out.iterdir())
+
     def test_width_beyond_box_rejected(self, tmp_path):
         code, _ = run_cli(tmp_path, "sample-measure", "side=0.5", "width=0.9")
         assert code == 2
@@ -334,6 +407,22 @@ class TestBecCurve:
         code, out = run_cli(tmp_path, "bec-curve", "steps=6667")
         assert code == 2
         assert "20000" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    def test_grid_cap_counts_nodes(self, tmp_path, capsys):
+        # 6000 steps x 1 sigma x 256 nodes exceeds 20000 x 64 solve cells
+        code, out = run_cli(tmp_path, "bec-curve", "sigmas=0.4", "steps=6000",
+                            "n_nodes=256")
+        assert code == 2
+        assert "20000" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("n_nodes", ["7", "257", "400"])
+    def test_n_nodes_out_of_range_exits_2_without_outputs(self, tmp_path, n_nodes):
+        # hermgauss returns NaN or zero weights from about 400 nodes
+        code, out = run_cli(tmp_path, "bec-curve", "sigmas=0.4", "steps=4",
+                            f"n_nodes={n_nodes}")
+        assert code == 2
         assert not list(out.iterdir())
 
     def test_tmin_below_fd_step_exits_2_without_outputs(self, tmp_path, capsys):
@@ -439,6 +528,15 @@ class TestGroundPotential:
     def test_empty_residual_mask_exits_3_without_outputs(self, tmp_path):
         code, out = run_cli(tmp_path, "ground-potential", "kind=calogero",
                             "lam=1", "points=5")
+        assert code == 3
+        assert not list(out.iterdir())
+
+    @pytest.mark.parametrize("pairs", [
+        ("n_particles=2", "kind=calogero", "lam=1e300"),   # no finite potential value
+        ("n_particles=3", "kind=harmonic", "omega=1e300"),  # NaN residual
+    ])
+    def test_nonfinite_results_exit_3_without_outputs(self, tmp_path, pairs):
+        code, out = run_cli(tmp_path, "ground-potential", *pairs)
         assert code == 3
         assert not list(out.iterdir())
 

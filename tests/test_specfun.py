@@ -6,6 +6,7 @@ expansion where the series is infeasible) and frozen here as literals.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -300,11 +301,16 @@ class TestMixingLaw:
                 1.0 / math.gamma(1.0 - alpha), rel=1e-14)
 
     def test_vectorized_matches_scalar(self):
+        # the array evaluator's integral branch against the change of
+        # variables tau -> tau^(-1/alpha) through the scalar stable density
         taus = np.linspace(0.05, 8.0, 40)
-        for alpha in (0.25, 0.5, 0.9):
+        for alpha, n_integral in ((0.25, 7), (0.5, 16), (0.9, 32)):
             vec = sf._mixing_pdf_many(alpha, taus)
-            sca = np.array([sf.mixing_pdf(alpha, t) for t in taus])
-            np.testing.assert_allclose(vec, sca, rtol=1e-11, atol=1e-250)
+            integral = ~sf._mixing_series(alpha, taus)[1]
+            assert integral.sum() == n_integral
+            ref = np.array([sf.stable_density(alpha, x ** (-1.0 / alpha))
+                            * x ** (-1.0 - 1.0 / alpha) / alpha for x in taus[integral]])
+            np.testing.assert_allclose(vec[integral], ref, rtol=1e-11, atol=1e-250)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
     def test_moments(self, alpha):
@@ -314,6 +320,40 @@ class TestMixingLaw:
             got = float((w * taus ** k).sum())
             want = math.factorial(k) / math.gamma(alpha * k + 1.0)
             assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.93])
+    def test_moment_gate_passes_at_range_ends(self, alpha):
+        taus, w = sf.mixing_quadrature(alpha)
+        for k in range(3):
+            want = math.factorial(k) / math.gamma(alpha * k + 1.0)
+            assert float((w * taus ** k).sum()) == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.95, 0.98, 0.984, 0.99, 0.995, 0.999])
+    def test_near_one_accurate_or_rejected_quickly(self, alpha):
+        # from alpha = 0.984 on the integral branch used to overflow c and
+        # never return; below it the rule could silently lose mass
+        start = time.perf_counter()
+        try:
+            taus, w = sf.mixing_quadrature(alpha)
+        except sf.QuadratureError as exc:
+            assert "moments" in str(exc)
+        else:
+            for z in (0.5, 2.0, 10.0, 30.0):
+                lt = float((w * np.exp(-z * taus)).sum())
+                assert lt == pytest.approx(sf.mittag_leffler(alpha, -z), rel=1e-8)
+        assert time.perf_counter() - start < 2.0
+
+    def test_unresolved_peak_rejected(self):
+        # at alpha = 0.999 the law is nearly a point mass at tau = 1
+        with pytest.raises(sf.QuadratureError, match="moments"):
+            sf.mixing_quadrature(0.999)
+
+    def test_series_tail_is_checked(self):
+        # sin(400 pi alpha) = 0 at alpha = 0.95, while the series at tau = 1.317
+        # is still 1e-4 away from its sum (0.1292310934299727 by 60-digit
+        # summation); such a tau goes to the integral branch
+        assert not sf._mixing_series(0.95, np.array([1.317]))[1][0]
+        assert sf.mixing_pdf(0.95, 1.317) == pytest.approx(0.1292310934299727, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("z", [0.5, 2.0, 10.0, 30.0])
