@@ -434,6 +434,9 @@ def _cmd_sample_measure(cfg):
         counts = count_rng.poisson(mu.mass, size=p["n_samples"])
         order = 1.0
     else:
+        # the cached rule that weights_fractional reads below rejects an order
+        # it cannot resolve; find that out before the sampling
+        specfun.mixing_quadrature(p["alpha"])
         exact = functionals.char_fractional(f, mu, p["alpha"])
         sampler = lambda r: functionals.sample_fractional_config(mu, p["alpha"], r)
         taus = specfun.sample_mixing_tau(p["alpha"], count_rng, size=p["n_samples"])

@@ -602,7 +602,7 @@ def _potential_analytic(f, mesh):
     s = sum(mesh)
     lap = 2.0 * f.omega * n * (n - 1)
     grad_sq = np.zeros_like(mesh[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for kk in range(n):
             g = 2.0 * f.omega * (n * mesh[kk] - s)
             if f.w_kind == "calogero":
@@ -663,20 +663,20 @@ def residual_check(f, grid, exclusion_cells=3):
     else:
         w = _w_analytic(f, mesh)
     v = ground_state_potential(f, grid)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         omega_arr = np.exp(-w)
-    lap = np.zeros_like(omega_arr)
-    for i, h in enumerate(steps):
-        sl_up = [slice(None)] * omega_arr.ndim
-        sl_dn = [slice(None)] * omega_arr.ndim
-        sl_md = [slice(None)] * omega_arr.ndim
-        sl_up[i] = slice(2, None)
-        sl_dn[i] = slice(None, -2)
-        sl_md[i] = slice(1, -1)
-        contrib = (omega_arr[tuple(sl_up)] - 2.0 * omega_arr[tuple(sl_md)]
-                   + omega_arr[tuple(sl_dn)]) / (h * h)
-        pad = [(1, 1) if j == i else (0, 0) for j in range(omega_arr.ndim)]
-        lap = lap + np.pad(contrib, pad)
+        lap = np.zeros_like(omega_arr)
+        for i, h in enumerate(steps):
+            sl_up = [slice(None)] * omega_arr.ndim
+            sl_dn = [slice(None)] * omega_arr.ndim
+            sl_md = [slice(None)] * omega_arr.ndim
+            sl_up[i] = slice(2, None)
+            sl_dn[i] = slice(None, -2)
+            sl_md[i] = slice(1, -1)
+            contrib = (omega_arr[tuple(sl_up)] - 2.0 * omega_arr[tuple(sl_md)]
+                       + omega_arr[tuple(sl_dn)]) / (h * h)
+            pad = [(1, 1) if j == i else (0, 0) for j in range(omega_arr.ndim)]
+            lap = lap + np.pad(contrib, pad)
     interior = np.ones(omega_arr.shape, dtype=bool)
     for i in range(omega_arr.ndim):
         sl_lo = [slice(None)] * omega_arr.ndim
@@ -694,6 +694,6 @@ def residual_check(f, grid, exclusion_cells=3):
         # an empty mask would make the residual 0/0
         raise RuntimeError("residual_check: no grid point lies inside the boundary "
                            "and outside the pair-exclusion margin")
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         residual = (-lap + v * omega_arr)[interior]
-    return float(np.linalg.norm(residual) / np.linalg.norm(omega_arr[interior]))
+        return float(np.linalg.norm(residual) / np.linalg.norm(omega_arr[interior]))

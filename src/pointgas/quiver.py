@@ -8,7 +8,11 @@ three layers:
   with exhaustive checks of the anticommutation relations, the
   current-operator commutator identities, and the directed-hop composition
   laws (`build_fermion_ops`, `current_ops`, `check_commutators`,
-  `check_composition`);
+  `check_composition`).  Every hop c†_b c_a maps a Fock basis state to at
+  most one basis state, so the two identity checks read each operator into
+  a column table (one weight per column, one fixed set of flipped bits) and
+  evaluate every product and residual by gathers over all site tuples of a
+  chunk at once, exactly in Gaussian-integer arithmetic;
 * the 4x4 single-vertex representation of the directed hop maps
   (`vertex_matrices`);
 * a diagonal stationary energy on occupation patterns with exact ground
@@ -70,7 +74,8 @@ SPIN_DOWN = 1
 BASIS_STATES = ("double", "up", "down", "hole")
 
 _MAX_ALGEBRA_SITES = 6      # Fock dimension 4**6 = 4096
-_MAX_TUPLE_SITES = 4        # exhaustive 4-tuple loops stay affordable
+_MAX_TUPLE_SITES = 4        # exhaustive 4-tuple sweeps stay affordable
+_CHUNK_ENTRIES = 1 << 14    # table entries per site tuple chunk of an algebra check
 _MAX_ENUM_STATES = 20_000_000
 
 _CODE_ELECTRONS = (0, 1, 1, 2)
@@ -424,20 +429,101 @@ class AlgebraReport:
     n_checks: int
 
 
-def _pair_ops(ops: FermionOps):
-    """All rho, j, k, v operators keyed by (spin, sites)."""
+def _column_table(op, dim: int):
+    """(target, weight) arrays of an operator with at most one entry per column.
+
+    Column col maps to row target[col] with weight[col]; index dim is a sink
+    (target dim, weight 0) that also stands for every empty column, so that
+    tables compose by gathers.
+    """
+    csc = sparse.csc_matrix(op)
+    csc.sum_duplicates()
+    csc.eliminate_zeros()
+    counts = np.diff(csc.indptr)
+    if counts.max(initial=0) > 1:
+        raise ValueError("operator has more than one entry in a column")
+    cols = np.flatnonzero(counts)
+    target = np.full(dim + 1, dim)
+    weight = np.zeros(dim + 1, dtype=complex)
+    target[cols] = csc.indices[csc.indptr[cols]]
+    weight[cols] = csc.data[csc.indptr[cols]]
+    return target, weight
+
+
+def _hop_tables(ops: FermionOps):
+    """Column tables of every hop v(s, a, b) = cdag_b c_a of `ops`.
+
+    Returns (weights, masks), flattened over (spin, a, b) at row
+    (s * n + a) * n + b: column col of the hop holds weights[row, col] in
+    Fock row col ^ masks[row].  Each hop is one gather of the column tables
+    of c_a and cdag_b.  Its mask is the XOR of the Fock bits of its two
+    modes (mode 0 is the most significant bit of the kron order), 0 when
+    a == b; a ValueError is raised when some column of a hop moves other
+    bits.
+    """
     n = ops.lattice.n_sites
-    rho, jop, kop, vop = {}, {}, {}, {}
-    for s in (SPIN_UP, SPIN_DOWN):
-        for a in range(n):
-            for b in range(n):
-                cur = current_ops(ops, a, b, s)
-                jop[s, a, b] = cur.j
-                kop[s, a, b] = cur.k
-                vop[s, a, b] = cur.v
-                if a == b:
-                    rho[s, a] = cur.rho
-    return rho, jop, kop, vop
+    c = [_column_table(op, ops.dim) for op in ops.c]
+    cdag = [_column_table(op, ops.dim) for op in ops.cdag]
+    cols = np.arange(ops.dim)
+    weights = np.zeros((2 * n * n, ops.dim), dtype=complex)
+    masks = np.zeros(2 * n * n, dtype=np.intp)
+    for row, (s, a, b) in enumerate(np.ndindex(2, n, n)):
+        ma, mb = ops.mode(a, s), ops.mode(b, s)
+        mask = (1 << (ops.n_modes - 1 - ma)) ^ (1 << (ops.n_modes - 1 - mb))
+        target_a, weight_a = c[ma]
+        target_b, weight_b = cdag[mb]
+        weight = (weight_b[target_a] * weight_a)[:ops.dim]
+        moved = weight != 0
+        if np.any(target_b[target_a][:ops.dim][moved] != cols[moved] ^ mask):
+            raise ValueError(f"hop ({s}, {a}, {b}) does not move exactly the bits of its modes")
+        weights[row] = weight
+        masks[row] = mask
+    return weights, masks
+
+
+def _worst_residual(masks, products, singles) -> float:
+    """Largest Frobenius norm, over site tuples, of a sum of column tables.
+
+    The sum is, per tuple t, sum(sign X[ix[t]] Y[iy[t]]) over `products`
+    (sign, X, ix, Y, iy) plus sum(coef[t] Z[iz[t]]) over `singles`
+    (coef, Z, iz); tables are rows of hop-shaped tables sharing `masks`.
+    Column col of XY holds X[col ^ mask(Y)] Y[col].  Every term of an
+    identity below moves the same bits (a Kronecker delta removes two equal
+    mode bits from the XOR), so the terms add column by column.  Weights are
+    small Gaussian integers, so every sum, and the largest squared norm, is
+    exact.
+    """
+    n_tuples = len(products[0][2])
+    cols = np.arange(products[0][1].shape[1])
+    chunk = max(1, _CHUNK_ENTRIES // cols.size)
+    worst = 0.0
+    for start in range(0, n_tuples, chunk):
+        cut = slice(start, start + chunk)
+        diff = 0
+        for sign, x, ix, y, iy in products:
+            ix, iy = ix[cut], iy[cut]
+            diff = diff + sign * x[ix[:, None], cols ^ masks[iy, None]] * y[iy]
+        for coef, z, iz in singles:
+            diff = diff + coef[cut, None] * z[iz[cut]]
+        worst = max(worst, float((diff.real ** 2 + diff.imag ** 2).sum(axis=1).max()))
+    return math.sqrt(worst)
+
+
+def _current_tables(lattice: Lattice):
+    """Hop, flux and symmetric-flux column tables, and their shared masks.
+
+    j(a, b) = -i (v(a, b) - v(b, a)) and k(a, b) = v(a, b) + v(b, a) keep one
+    entry per column: both hops move the same two bits.
+    """
+    v, masks = _hop_tables(build_fermion_ops(lattice))
+    n = lattice.n_sites
+    vt = v.reshape(2, n, n, -1).transpose(0, 2, 1, 3).reshape(v.shape)
+    return v, -1j * (v - vt), v + vt, masks
+
+
+def _row(n: int, s, a, b):
+    """Table row of (spin, a, b)."""
+    return (s * n + a) * n + b
 
 
 def check_commutators(lattice: Lattice) -> AlgebraReport:
@@ -445,7 +531,9 @@ def check_commutators(lattice: Lattice) -> AlgebraReport:
 
     All five identities are evaluated over every site tuple (coincident
     indices included) and every spin pair; cross-spin commutators must
-    vanish.  Residuals are Frobenius norms of (LHS - RHS).
+    vanish.  Residuals are Frobenius norms of (LHS - RHS), evaluated on
+    column tables of the Jordan-Wigner operators (see `_hop_tables`) for all
+    tuples of a chunk at once; rho(a) is the hop v(a, a).
     """
     n = lattice.n_sites
     if n > _MAX_TUPLE_SITES:
@@ -453,80 +541,36 @@ def check_commutators(lattice: Lattice) -> AlgebraReport:
             f"commutator sweep is exhaustive over site tuples; lattice capped "
             f"at {_MAX_TUPLE_SITES} sites, got {n}"
         )
-    ops = build_fermion_ops(lattice)
-    rho, jop, kop, _ = _pair_ops(ops)
-    sites = range(n)
-    spins = (SPIN_UP, SPIN_DOWN)
+    v, jop, kop, masks = _current_tables(lattice)
+
+    def comm(x, ix, y, iy):
+        return [(1, x, ix, y, iy), (-1, y, iy, x, ix)]
+
+    s1, s2, a, m, nn = np.indices((2, 2, n, n, n)).reshape(5, -1)
+    rho, mn = _row(n, s1, a, a), _row(n, s2, m, nn)
+    coef = (s1 == s2) * ((a == nn).astype(int) - (a == m))
     residuals = {
-        "density_flux": 0.0,
-        "density_sym": 0.0,
-        "flux_flux": 0.0,
-        "flux_sym": 0.0,
-        "sym_sym": 0.0,
+        "density_flux": _worst_residual(masks, comm(v, rho, jop, mn), [(1j * coef, kop, mn)]),
+        "density_sym": _worst_residual(masks, comm(v, rho, kop, mn), [(-1j * coef, jop, mn)]),
     }
-    n_checks = 0
+    n_checks = 2 * a.size
 
-    def comm(x, y):
-        return x @ y - y @ x
+    s1, s2, a, b, m, nn = np.indices((2, 2, n, n, n, n)).reshape(6, -1)
+    ab, mn = _row(n, s1, a, b), _row(n, s2, m, nn)
+    same = 1j * (s1 == s2)
+    am, an, bn, bm = (same * (a == m), same * (a == nn), same * (b == nn), same * (b == m))
 
-    for s1 in spins:
-        for s2 in spins:
-            same = s1 == s2
-            for a in sites:
-                ra = rho[s1, a]
-                for m in sites:
-                    for nn in sites:
-                        coef = (a == nn) - (a == m)
-                        lhs = comm(ra, jop[s2, m, nn])
-                        rhs = (-1j * coef) * kop[s2, m, nn] if same and coef else None
-                        diff = lhs if rhs is None else lhs - rhs
-                        residuals["density_flux"] = max(residuals["density_flux"], _fro(diff))
-                        lhs = comm(ra, kop[s2, m, nn])
-                        rhs = (1j * coef) * jop[s2, m, nn] if same and coef else None
-                        diff = lhs if rhs is None else lhs - rhs
-                        residuals["density_sym"] = max(residuals["density_sym"], _fro(diff))
-                        n_checks += 2
-            for a in sites:
-                for b in sites:
-                    for m in sites:
-                        for nn in sites:
-                            lhs = comm(jop[s1, a, b], jop[s2, m, nn])
-                            if same:
-                                rhs = 1j * (
-                                    -(a == m) * jop[s2, b, nn]
-                                    + (a == nn) * jop[s2, b, m]
-                                    - (b == nn) * jop[s2, a, m]
-                                    + (b == m) * jop[s2, a, nn]
-                                )
-                                diff = lhs - rhs
-                            else:
-                                diff = lhs
-                            residuals["flux_flux"] = max(residuals["flux_flux"], _fro(diff))
-                            lhs = comm(jop[s1, a, b], kop[s2, m, nn])
-                            if same:
-                                rhs = 1j * (
-                                    -(a == m) * kop[s2, nn, b]
-                                    - (a == nn) * kop[s2, m, b]
-                                    + (b == nn) * kop[s2, m, a]
-                                    + (b == m) * kop[s2, nn, a]
-                                )
-                                diff = lhs - rhs
-                            else:
-                                diff = lhs
-                            residuals["flux_sym"] = max(residuals["flux_sym"], _fro(diff))
-                            lhs = comm(kop[s1, a, b], kop[s2, m, nn])
-                            if same:
-                                rhs = 1j * (
-                                    (a == m) * jop[s2, nn, b]
-                                    + (a == nn) * jop[s2, m, b]
-                                    + (b == nn) * jop[s2, m, a]
-                                    + (b == m) * jop[s2, nn, a]
-                                )
-                                diff = lhs - rhs
-                            else:
-                                diff = lhs
-                            residuals["sym_sym"] = max(residuals["sym_sym"], _fro(diff))
-                            n_checks += 3
+    # RHS = i sum(+-[x == y] Z(p, r)) at equal spins; `same` holds i [s1 == s2]
+    def rhs(z, *terms):
+        return [(-delta, z, _row(n, s2, p, r)) for delta, p, r in terms]
+
+    residuals["flux_flux"] = _worst_residual(masks, comm(jop, ab, jop, mn), rhs(
+        jop, (-am, b, nn), (an, b, m), (-bn, a, m), (bm, a, nn)))
+    residuals["flux_sym"] = _worst_residual(masks, comm(jop, ab, kop, mn), rhs(
+        kop, (-am, nn, b), (-an, m, b), (bn, m, a), (bm, nn, a)))
+    residuals["sym_sym"] = _worst_residual(masks, comm(kop, ab, kop, mn), rhs(
+        jop, (am, nn, b), (an, m, b), (bn, m, a), (bm, nn, a)))
+    n_checks += 3 * a.size
     return AlgebraReport(
         max_residual=max(residuals.values()),
         residuals=residuals,
@@ -560,6 +604,9 @@ def check_composition(lattice: Lattice) -> CompositionReport:
     Composition: v(a, b) v(m, n) = [a == n] v(m, b) + [m == n] v(a, b)
     - v(m, b) v(a, n), over all site 4-tuples and both spins.
     Roundtrip: v(a, b) v(b, a) = rho(b)(1 - rho(a)) for a != b.
+    Evaluated on the column tables of `_current_tables`.  Complement
+    annihilation rho(1 - rho) = 0 is the negated idempotence residual
+    rho rho - rho, so the two share one norm.
     """
     n = lattice.n_sites
     if n > _MAX_TUPLE_SITES:
@@ -567,47 +614,35 @@ def check_composition(lattice: Lattice) -> CompositionReport:
             f"composition sweep is exhaustive over site tuples; lattice capped "
             f"at {_MAX_TUPLE_SITES} sites, got {n}"
         )
-    ops = build_fermion_ops(lattice)
-    rho, _, _, vop = _pair_ops(ops)
-    eye = sparse.identity(ops.dim, dtype=complex, format="csr")
-    sites = range(n)
-    comp = 0.0
-    roundtrip = 0.0
-    idem = 0.0
-    complement = 0.0
-    gap = 0.0
-    n_checks = 0
-    for s in (SPIN_UP, SPIN_DOWN):
-        for a in sites:
-            for b in sites:
-                vab = vop[s, a, b]
-                for m in sites:
-                    for nn in sites:
-                        lhs = vab @ vop[s, m, nn]
-                        rhs = -(vop[s, m, b] @ vop[s, a, nn])
-                        if a == nn:
-                            rhs = rhs + vop[s, m, b]
-                        if m == nn:
-                            rhs = rhs + vab
-                        comp = max(comp, _fro(lhs - rhs))
-                        n_checks += 1
-                lhs = vab @ vop[s, b, a]
-                rhs = rho[s, b] @ (eye - rho[s, a])
-                if a == b:
-                    gap = max(gap, _fro(lhs - rhs))
-                else:
-                    roundtrip = max(roundtrip, _fro(lhs - rhs))
-                n_checks += 1
-        for a in sites:
-            idem = max(idem, _fro(rho[s, a] @ rho[s, a] - rho[s, a]))
-            complement = max(complement, _fro(rho[s, a] @ (eye - rho[s, a])))
-            n_checks += 2
+    v, _, _, masks = _current_tables(lattice)
+    s, a, b, m, nn = np.indices((2, n, n, n, n)).reshape(5, -1)
+    mb, ab = _row(n, s, m, b), _row(n, s, a, b)
+    comp = _worst_residual(
+        masks, [(1, v, ab, v, _row(n, s, m, nn)), (1, v, mb, v, _row(n, s, a, nn))],
+        [(-1 * (a == nn), v, mb), (-1 * (m == nn), v, ab)])
+    n_checks = a.size
+
+    # v(a, b) v(b, a) - rho(b) (1 - rho(a)) = v(a, b) v(b, a) + rho(b) rho(a) - rho(b)
+    s, a, b = np.indices((2, n, n)).reshape(3, -1)
+    ab, ba, aa, bb = _row(n, s, a, b), _row(n, s, b, a), _row(n, s, a, a), _row(n, s, b, b)
+
+    def roundtrip(sel):
+        return _worst_residual(masks, [(1, v, ab[sel], v, ba[sel]), (1, v, bb[sel], v, aa[sel])],
+                               [(-np.ones(sel.sum()), v, bb[sel])])
+
+    apart = a != b
+    roundtrip_residual, gap = roundtrip(apart), roundtrip(~apart)
+    n_checks += a.size
+
+    aa = aa[~apart]
+    idem = _worst_residual(masks, [(1, v, aa, v, aa)], [(-np.ones(aa.size), v, aa)])
+    n_checks += 2 * aa.size
     return CompositionReport(
-        max_residual=max(comp, roundtrip, idem, complement),
+        max_residual=max(comp, roundtrip_residual, idem),
         composition_residual=comp,
-        roundtrip_residual=roundtrip,
+        roundtrip_residual=roundtrip_residual,
         idempotence_residual=idem,
-        complement_residual=complement,
+        complement_residual=idem,
         coincident_gap=gap,
         n_checks=n_checks,
     )

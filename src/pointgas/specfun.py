@@ -378,7 +378,9 @@ def _mixing_pdf_many(alpha, taus):
         t = taus[rest]
         c = t ** (1.0 / (1.0 - alpha))
         phi, pw = _phi_panel_rule(c.max())
-        tilt = np.minimum(_tilt(phi, alpha), 1e300)
+        with np.errstate(over="ignore"):
+            # a(phi) overflows near pi when alpha is close to 1; inf is clipped
+            tilt = np.minimum(_tilt(phi, alpha), 1e300)
         kern = (pw * tilt)[None, :] * np.exp(-np.outer(c, tilt))
         out[rest] = t ** (alpha / (1.0 - alpha)) / ((1.0 - alpha) * math.pi) \
             * kern.sum(axis=1)

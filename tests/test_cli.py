@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -341,7 +342,12 @@ class TestSampleMeasure:
         for row in rows[:5]:
             assert abs(float(row["observed"]) - float(row["expected"])) < 0.05
 
-    def test_fractional_order_near_one_exits_3_without_outputs(self, tmp_path):
+    def test_fractional_order_near_one_exits_3_without_outputs(self, tmp_path, monkeypatch):
+        # the order is rejected before any sample is drawn
+        def sampled(*args, **kwargs):
+            raise AssertionError("mc_char reached before the order was checked")
+
+        monkeypatch.setattr(functionals, "mc_char", sampled)
         start = time.perf_counter()
         code, out = run_cli(tmp_path, "sample-measure", "kind=fractional", "alpha=0.999")
         assert time.perf_counter() - start < 10.0
@@ -506,6 +512,22 @@ class TestQuiverGround:
     def test_electron_validation(self, tmp_path):
         code, _ = run_cli(tmp_path, "quiver-ground", "electrons=99")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("ml-weights", "alpha=0.999"),
+    ("ground-potential", "n_particles=2", "kind=calogero", "lam=1e300"),
+    ("ground-potential", "n_particles=3", "kind=harmonic", "omega=1e300"),
+])
+def test_expected_overflow_prints_only_the_error_line(tmp_path, capsys, argv):
+    # a warning would reach stderr ahead of the error line in a plain process
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run_cli(tmp_path, *argv)
+    assert code == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestGroundPotential:

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from pointgas import quiver as q
 
@@ -322,6 +323,58 @@ class TestCheckCommutators:
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):
             q.check_commutators(q.Lattice(3, 3, "open"))
+
+
+def hard_core_boson_ops(lattice):
+    """The Jordan-Wigner construction without its string: modes commute."""
+    n_modes = 2 * lattice.n_sites
+    eye2 = sparse.identity(2, dtype=complex, format="csr")
+    lower = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    ann = []
+    for mode in range(n_modes):
+        acc = None
+        for pos in range(n_modes):
+            factor = lower if pos == mode else eye2
+            acc = factor if acc is None else sparse.kron(acc, factor, format="csr")
+        ann.append(acc)
+    cdag = tuple(op.conj().T.tocsr() for op in ann)
+    return q.FermionOps(lattice=lattice, c=tuple(ann), cdag=cdag, dim=2 ** n_modes)
+
+
+class TestAlgebraTables:
+    def test_hop_tables_reproduce_current_ops(self, ops22):
+        weights, masks = q._hop_tables(ops22)
+        cols = np.arange(ops22.dim)
+        for row, (sigma, a, b) in enumerate(itertools.product(range(2), range(4), range(4))):
+            dense = np.zeros((ops22.dim, ops22.dim), dtype=complex)
+            dense[cols ^ masks[row], cols] = weights[row]
+            assert np.array_equal(dense, q.current_ops(ops22, a, b, sigma).v.toarray())
+
+    def test_checks_read_the_operators(self, monkeypatch):
+        # without the string, flux operators on different sites commute
+        # where fermion ones anticommute: the flux identities must fail
+        monkeypatch.setattr(q, "build_fermion_ops", hard_core_boson_ops)
+        lat = q.Lattice(3, 1, "open")
+        rep = q.check_commutators(lat)
+        assert rep.residuals == {"density_flux": 0.0, "density_sym": 0.0,
+                                 "flux_flux": 8.0, "flux_sym": 8.0, "sym_sym": 8.0}
+        assert rep.n_checks == 1188
+        assert q.check_composition(lat).max_residual == 5.656854249492381
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda c: (c[0] + c[1],) + c[1:], "more than one entry"),
+        (lambda c: (c[1], c[0]) + c[2:], "bits of its modes"),
+    ])
+    def test_operators_that_are_not_hops_rejected(self, monkeypatch, corrupt, message):
+        build = q.build_fermion_ops
+
+        def corrupted(lattice):
+            ops = build(lattice)
+            return q.FermionOps(lattice=lattice, c=corrupt(ops.c), cdag=ops.cdag, dim=ops.dim)
+
+        monkeypatch.setattr(q, "build_fermion_ops", corrupted)
+        with pytest.raises(ValueError, match=message):
+            q.check_commutators(q.Lattice(2, 1, "open"))
 
 
 class TestCheckComposition:
