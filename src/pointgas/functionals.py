@@ -477,21 +477,32 @@ def weights_fractional(alpha, m, n_max):
 # samplers
 
 
-def sample_poisson_config(mu, rng):
-    """Poisson(mass) count, uniform positions on the box."""
-    count = int(rng.poisson(mu.mass)) if mu.mass > 0.0 else 0
-    pts = rng.uniform(0.0, 1.0, size=(count, mu.box.dim)) * np.asarray(mu.box.sides)
-    return PointConfiguration(pts)
+def _place_points(mu, counts, rng, size):
+    pts = rng.uniform(0.0, 1.0, size=(int(counts.sum()), mu.box.dim)) * np.asarray(mu.box.sides)
+    return PointConfiguration(pts) if size is None else (counts, pts)
 
 
-def sample_fractional_config(mu, alpha, rng):
-    """Mixture draw: tau from the mixing law, then Poisson(tau * mass)."""
+def sample_poisson_config(mu, rng, size=None):
+    """Poisson(mass) count, uniform positions on the box. With size, a batch
+    (counts, points) whose points stack the samples in order."""
+    counts = rng.poisson(mu.mass, size=1 if size is None else size)
+    return _place_points(mu, counts, rng, size)
+
+
+def sample_fractional_config(mu, alpha, rng, size=None):
+    """Mixture draw: tau from the mixing law, then Poisson(tau * mass); a
+    batch draws every tau, then every count, then every position."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"fractional order must lie in (0, 1), got {alpha!r}")
-    tau = specfun.sample_mixing_tau(alpha, rng)
-    count = int(rng.poisson(tau * mu.mass)) if mu.mass > 0.0 else 0
-    pts = rng.uniform(0.0, 1.0, size=(count, mu.box.dim)) * np.asarray(mu.box.sides)
-    return PointConfiguration(pts)
+    tau = specfun.sample_mixing_tau(alpha, rng, size=1 if size is None else size)
+    counts = rng.poisson(tau * mu.mass)
+    return _place_points(mu, counts, rng, size)
+
+
+def _batch_pairings(f, counts, points):
+    """<gamma_i, f> of every sample of a batch; exactly 0 without points."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return np.bincount(owner, weights=f(points), minlength=counts.size)
 
 
 def mc_char(f, sampler, n_samples, rng):
@@ -499,7 +510,8 @@ def mc_char(f, sampler, n_samples, rng):
 
     Samples are drawn from independent child streams of rng in chunks of
     1000 and reduced in fixed stream order, so the result depends only on
-    the seed, never on scheduling.
+    the seed, never on scheduling. sampler(stream, size) returns one chunk
+    as a batch (counts, points), as the samplers above do with size.
     """
     if n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {n_samples!r}")
@@ -511,9 +523,8 @@ def mc_char(f, sampler, n_samples, rng):
     pos = 0
     for stream in streams:
         take = min(chunk, n_samples - pos)
-        for i in range(take):
-            pairing = sampler(stream).pairing(f)
-            vals[pos + i] = complex(math.cos(pairing), math.sin(pairing))
+        theta = _batch_pairings(f, *sampler(stream, take))
+        vals[pos:pos + take] = np.cos(theta) + 1j * np.sin(theta)
         pos += take
     est = complex(vals.sum() / n_samples)
     spread = float(np.abs(vals - est).__pow__(2).sum())

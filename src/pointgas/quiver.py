@@ -509,13 +509,18 @@ def _worst_residual(masks, products, singles) -> float:
     return math.sqrt(worst)
 
 
-def _current_tables(lattice: Lattice):
+def _current_tables(lattice: Lattice, ops: FermionOps | None):
     """Hop, flux and symmetric-flux column tables, and their shared masks.
 
-    j(a, b) = -i (v(a, b) - v(b, a)) and k(a, b) = v(a, b) + v(b, a) keep one
-    entry per column: both hops move the same two bits.
+    Read from ops, or from a fresh build_fermion_ops(lattice) when ops is
+    None. j(a, b) = -i (v(a, b) - v(b, a)) and k(a, b) = v(a, b) + v(b, a)
+    keep one entry per column: both hops move the same two bits.
     """
-    v, masks = _hop_tables(build_fermion_ops(lattice))
+    if ops is None:
+        ops = build_fermion_ops(lattice)
+    elif ops.lattice != lattice:
+        raise ValueError("ops were built for another lattice")
+    v, masks = _hop_tables(ops)
     n = lattice.n_sites
     vt = v.reshape(2, n, n, -1).transpose(0, 2, 1, 3).reshape(v.shape)
     return v, -1j * (v - vt), v + vt, masks
@@ -526,14 +531,15 @@ def _row(n: int, s, a, b):
     return (s * n + a) * n + b
 
 
-def check_commutators(lattice: Lattice) -> AlgebraReport:
+def check_commutators(lattice: Lattice, ops: FermionOps | None = None) -> AlgebraReport:
     """Exhaustively verify the current-algebra commutators on a small lattice.
 
     All five identities are evaluated over every site tuple (coincident
     indices included) and every spin pair; cross-spin commutators must
     vanish.  Residuals are Frobenius norms of (LHS - RHS), evaluated on
     column tables of the Jordan-Wigner operators (see `_hop_tables`) for all
-    tuples of a chunk at once; rho(a) is the hop v(a, a).
+    tuples of a chunk at once; rho(a) is the hop v(a, a). Pass the lattice's
+    operators as ops to reuse a build; by default they are built here.
     """
     n = lattice.n_sites
     if n > _MAX_TUPLE_SITES:
@@ -541,7 +547,7 @@ def check_commutators(lattice: Lattice) -> AlgebraReport:
             f"commutator sweep is exhaustive over site tuples; lattice capped "
             f"at {_MAX_TUPLE_SITES} sites, got {n}"
         )
-    v, jop, kop, masks = _current_tables(lattice)
+    v, jop, kop, masks = _current_tables(lattice, ops)
 
     def comm(x, ix, y, iy):
         return [(1, x, ix, y, iy), (-1, y, iy, x, ix)]
@@ -598,7 +604,7 @@ class CompositionReport:
     n_checks: int
 
 
-def check_composition(lattice: Lattice) -> CompositionReport:
+def check_composition(lattice: Lattice, ops: FermionOps | None = None) -> CompositionReport:
     """Exhaustively verify the hop composition and roundtrip laws.
 
     Composition: v(a, b) v(m, n) = [a == n] v(m, b) + [m == n] v(a, b)
@@ -606,7 +612,7 @@ def check_composition(lattice: Lattice) -> CompositionReport:
     Roundtrip: v(a, b) v(b, a) = rho(b)(1 - rho(a)) for a != b.
     Evaluated on the column tables of `_current_tables`.  Complement
     annihilation rho(1 - rho) = 0 is the negated idempotence residual
-    rho rho - rho, so the two share one norm.
+    rho rho - rho, so the two share one norm. ops as in check_commutators.
     """
     n = lattice.n_sites
     if n > _MAX_TUPLE_SITES:
@@ -614,7 +620,7 @@ def check_composition(lattice: Lattice) -> CompositionReport:
             f"composition sweep is exhaustive over site tuples; lattice capped "
             f"at {_MAX_TUPLE_SITES} sites, got {n}"
         )
-    v, _, _, masks = _current_tables(lattice)
+    v, _, _, masks = _current_tables(lattice, ops)
     s, a, b, m, nn = np.indices((2, n, n, n, n)).reshape(5, -1)
     mb, ab = _row(n, s, m, b), _row(n, s, a, b)
     comp = _worst_residual(

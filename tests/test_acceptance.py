@@ -71,7 +71,7 @@ def test_ac03_characteristic_functional_suite():
     with budget(30.0):
         mu = fn.IntensityMeasure(fn.Box((1.0,)), 2.0)
         est, stderr = fn.mc_char(
-            INDICATOR, lambda r: fn.sample_poisson_config(mu, r),
+            INDICATOR, lambda r, n: fn.sample_poisson_config(mu, r, size=n),
             100000, np.random.default_rng(2025))
         assert abs(est - fn.char_poisson(INDICATOR, mu)) <= 3.0 * stderr
 

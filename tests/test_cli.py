@@ -1,6 +1,7 @@
 """Tests for the command-line driver: config resolution, exit codes,
 deterministic outputs and the SVG line plotter."""
 
+import hashlib
 import json
 import math
 import os
@@ -9,12 +10,13 @@ import sys
 import time
 import warnings
 import xml.etree.ElementTree as ET
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pointgas import cli, functionals
+from pointgas import cli, functionals, quiver
 
 
 def run_cli(tmp_path, subcommand, *pairs, seed=0, name="out", config=None):
@@ -34,6 +36,14 @@ def read_csv(path):
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+@contextmanager
+def budget(seconds):
+    start = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, f"runtime budget exceeded: {elapsed:.2f}s"
 
 
 class TestResolveConfig:
@@ -151,6 +161,55 @@ class TestEmitSvgLines:
     def test_deterministic_bytes(self):
         assert (cli.emit_svg_lines(self.TABLE, "x", "y", "g")
                 == cli.emit_svg_lines(self.TABLE, "x", "y", "g"))
+
+
+def rowwise_csv(header, rows):
+    """The row-at-a-time CSV writer the column formatter must reproduce."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(cli._fmt_cell(row[col]) for col in header))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriteCsv:
+    def test_columns_match_rowwise_cells(self):
+        floats = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-300, 5e-324, 0.1, -2.5e17]
+        n = len(floats)
+        table = {
+            "f_array": np.array(floats),
+            "f_list": floats[::-1],
+            "f32": np.linspace(-1.0, 1.0, n, dtype=np.float32),
+            "i_array": np.arange(n) - 4,
+            "i_list": [2 ** 70, -1, 0, 3, 4, 5, 6, 7, 8],
+            "s": ["open", "periodic", "", "u.d2", "a b", "x", "y", "z", "w"],
+            "mixed": [1, 2.0, "two", np.float64(0.3), np.int32(-4), np.float32(0.1),
+                      np.uint8(255), None, 1 + 2j],
+        }
+        rows = [{col: vals[i] for col, vals in table.items()} for i in range(n)]
+        text = cli._write_csv(table)
+        assert text == rowwise_csv(list(table), rows)
+        assert text.splitlines()[1].startswith("inf,-2.5e+17,-1.0,-4,")
+
+    def test_zero_rows_give_the_header_line(self):
+        assert cli._write_csv({"a": [], "b": np.array([])}) == "a,b\n"
+
+    @pytest.mark.parametrize("column", [[1, True], np.array([False, True]),
+                                        [np.bool_(True), 0]])
+    def test_bool_column_rejected(self, column):
+        with pytest.raises(TypeError, match="boolean"):
+            cli._write_csv({"a": [1, 2], "flag": column})
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(ValueError):
+            cli._write_csv({"a": [1, 2], "b": [1.0]})
+
+    def test_ground_potential_bytes_frozen(self, tmp_path):
+        # SHA-256 of the 68,921-row table written by the row-wise formatter
+        code, out = run_cli(tmp_path, "ground-potential", "n_particles=3", "points=41",
+                            "kind=calogero")
+        assert code == 0
+        digest = hashlib.sha256((out / "potential.csv").read_bytes()).hexdigest()
+        assert digest == "9a5e08dab83b75cda18b7520195979e82733143da61ba51bd921f9fbf552752e"
 
 
 class TestExitCodes:
@@ -354,6 +413,13 @@ class TestSampleMeasure:
         assert code == 3
         assert not list(out.iterdir())
 
+    def test_million_fractional_samples_within_budget(self, tmp_path):
+        with budget(10.0):
+            code, out = run_cli(tmp_path, "sample-measure", "kind=fractional",
+                                "n_samples=1000000")
+        assert code == 0
+        assert (out / "manifest.json").exists()
+
     def test_width_beyond_box_rejected(self, tmp_path):
         code, _ = run_cli(tmp_path, "sample-measure", "side=0.5", "width=0.9")
         assert code == 2
@@ -452,6 +518,15 @@ class TestQuiverAlgebra:
         report = read_json(out / "report.json")
         assert report["passed"] is True
         assert report["max_residual"] <= 1e-12
+
+    def test_operators_built_once(self, tmp_path, monkeypatch):
+        builds = []
+        build = quiver.build_fermion_ops
+        monkeypatch.setattr(quiver, "build_fermion_ops",
+                            lambda lat: builds.append(lat) or build(lat))
+        code, _ = run_cli(tmp_path, "quiver-algebra", "lx=2", "ly=1")
+        assert code == 0
+        assert len(builds) == 1
 
     def test_oversized_lattice_rejected(self, tmp_path):
         code, _ = run_cli(tmp_path, "quiver-algebra", "lx=3", "ly=3")

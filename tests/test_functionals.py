@@ -420,35 +420,96 @@ class TestSamplers:
             fn.sample_fractional_config(unit_measure(), 1.0, np.random.default_rng(0))
 
 
+def poisson_batches(mu):
+    return lambda r, n: fn.sample_poisson_config(mu, r, size=n)
+
+
+# one term of each shape on a 2-d box of mass 1: about a third of the
+# Poisson samples hold no point
+BOX2 = fn.Box((1.0, 0.5))
+F_MIXED = fn.TestFunction((
+    {"shape": "indicator", "center": (0.3, 0.2), "width": 0.4, "amplitude": 1.1},
+    {"shape": "gaussian", "center": (0.6, 0.25), "width": 0.2, "amplitude": -0.7},
+    {"shape": "cosine", "center": (0.1, 0.0), "width": 0.35, "amplitude": 0.45},
+))
+
+
 class TestMcChar:
     def test_zero_function_exact(self):
-        est, se = fn.mc_char(F_ZERO, lambda r: fn.sample_poisson_config(unit_measure(2.0), r),
+        est, se = fn.mc_char(F_ZERO, poisson_batches(unit_measure(2.0)),
                              500, np.random.default_rng(1))
         assert est == 1.0 + 0.0j
         assert se == 0.0
 
     def test_needs_samples(self):
         with pytest.raises(ValueError):
-            fn.mc_char(F_ZERO, lambda r: fn.sample_poisson_config(unit_measure(), r),
+            fn.mc_char(F_ZERO, poisson_batches(unit_measure()),
                        99, np.random.default_rng(1))
 
     def test_deterministic(self):
-        sampler = lambda r: fn.sample_poisson_config(unit_measure(2.0), r)
+        sampler = poisson_batches(unit_measure(2.0))
         a = fn.mc_char(F_PHASE, sampler, 3000, np.random.default_rng(7))
         b = fn.mc_char(F_PHASE, sampler, 3000, np.random.default_rng(7))
         assert a == b
 
+    def test_partial_last_chunk_matches_sample_loop(self):
+        # 2500 samples: two full chunks and a partial one; the reference
+        # pairs every sample of the same batches one configuration at a time
+        mu = fn.IntensityMeasure(BOX2, 2.0)
+        sampler = lambda r, n: fn.sample_fractional_config(mu, 0.5, r, size=n)
+        a = fn.mc_char(F_MIXED, sampler, 2500, np.random.default_rng(8))
+        assert fn.mc_char(F_MIXED, sampler, 2500, np.random.default_rng(8)) == a
+        vals = []
+        for stream, take in zip(np.random.default_rng(8).spawn(3), (1000, 1000, 500)):
+            counts, points = sampler(stream, take)
+            for pts in np.split(points, np.cumsum(counts)[:-1]):
+                theta = fn.PointConfiguration(pts).pairing(F_MIXED)
+                vals.append(complex(math.cos(theta), math.sin(theta)))
+        assert abs(a[0] - sum(vals) / 2500) <= 1e-13
+
     def test_matches_closed_form(self):
         mu = unit_measure(2.0)
-        est, se = fn.mc_char(F_PHASE, lambda r: fn.sample_poisson_config(mu, r),
+        est, se = fn.mc_char(F_PHASE, poisson_batches(mu),
                              20000, np.random.default_rng(42))
         assert abs(est - fn.char_poisson(F_PHASE, mu)) <= 3.0 * se
 
     def test_fractional_matches_series(self):
         mu = unit_measure(2.0)
-        est, se = fn.mc_char(F_PHASE, lambda r: fn.sample_fractional_config(mu, 0.5, r),
+        est, se = fn.mc_char(F_PHASE,
+                             lambda r, n: fn.sample_fractional_config(mu, 0.5, r, size=n),
                              20000, np.random.default_rng(43))
         assert abs(est - fn.char_fractional(F_PHASE, mu, 0.5)) <= 3.0 * se
+
+
+class TestBatchPairings:
+    @pytest.mark.parametrize("draw", [
+        lambda mu, rng: fn.sample_poisson_config(mu, rng, size=400),
+        lambda mu, rng: fn.sample_fractional_config(mu, 0.5, rng, size=400),
+    ], ids=["poisson", "fractional"])
+    def test_batch_matches_per_sample_pairing(self, draw):
+        mu = fn.IntensityMeasure(BOX2, 2.0)
+        counts, points = draw(mu, np.random.default_rng(12))
+        assert counts.shape == (400,) and points.shape == (counts.sum(), 2)
+        assert (counts == 0).any() and (counts >= 3).any()
+        theta = fn._batch_pairings(F_MIXED, counts, points)
+        per_sample = np.split(points, np.cumsum(counts)[:-1])
+        for n, pts, val in zip(counts, per_sample, theta):
+            ref = fn.PointConfiguration(pts).pairing(F_MIXED)
+            if n == 0:
+                assert val == 0.0 and ref == 0.0
+            assert abs(val - ref) <= 1e-13
+
+    def test_single_draw_is_a_batch_of_one(self):
+        # without size the samplers return the one configuration of a
+        # length-1 batch drawn from the same stream
+        mu = fn.IntensityMeasure(BOX2, 8.0)
+        for draw in (lambda rng, **kw: fn.sample_poisson_config(mu, rng, **kw),
+                     lambda rng, **kw: fn.sample_fractional_config(mu, 0.5, rng, **kw)):
+            single = draw(np.random.default_rng(3))
+            counts, points = draw(np.random.default_rng(3), size=1)
+            assert isinstance(single, fn.PointConfiguration)
+            assert len(single) == counts[0]
+            np.testing.assert_array_equal(single.points, points)
 
 
 class TestGirardFunctional:

@@ -361,6 +361,19 @@ class TestAlgebraTables:
         assert rep.n_checks == 1188
         assert q.check_composition(lat).max_residual == 5.656854249492381
 
+    def test_checks_read_given_operators(self, monkeypatch):
+        lat = q.Lattice(2, 2, "open")
+        ops = q.build_fermion_ops(lat)
+        built = q.check_commutators(lat), q.check_composition(lat)
+
+        def rebuilt(lattice):
+            raise AssertionError("operators rebuilt although given")
+
+        monkeypatch.setattr(q, "build_fermion_ops", rebuilt)
+        assert (q.check_commutators(lat, ops), q.check_composition(lat, ops)) == built
+        with pytest.raises(ValueError, match="another lattice"):
+            q.check_composition(q.Lattice(2, 1, "open"), ops)
+
     @pytest.mark.parametrize("corrupt, message", [
         (lambda c: (c[0] + c[1],) + c[1:], "more than one entry"),
         (lambda c: (c[1], c[0]) + c[2:], "bits of its modes"),
