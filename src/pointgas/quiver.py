@@ -315,13 +315,6 @@ class Occupation:
 # exact fermion operators
 
 
-def _fro(mat) -> float:
-    """Frobenius norm of a sparse matrix."""
-    if mat.nnz == 0:
-        return 0.0
-    return float(np.sqrt(np.sum(np.abs(mat.data) ** 2)))
-
-
 @dataclass(frozen=True)
 class FermionOps:
     """Jordan-Wigner annihilation/creation operators for every lattice mode."""
@@ -342,23 +335,45 @@ class FermionOps:
             raise ValueError("spin must be SPIN_UP (0) or SPIN_DOWN (1)")
         return 2 * site + spin
 
+    @cached_property
+    def _tables(self):
+        """Column tables (`_column_table`) of every c, then every cdag.
+
+        (target, weight), each of shape (2 n_modes, dim + 1): row x < n_modes
+        is c[x], row n_modes + x is cdag[x].
+        """
+        tables = [_column_table(op, self.dim) for op in self.c + self.cdag]
+        return np.array([t for t, _ in tables]), np.array([w for _, w in tables])
+
     def car_residual(self) -> float:
-        """Worst Frobenius deviation from the canonical anticommutation relations."""
-        eye = sparse.identity(self.dim, dtype=complex, format="csr")
+        """Worst Frobenius deviation from the canonical anticommutation relations.
+
+        Evaluated on the column tables of c and cdag: stacked c first, the
+        pairs (c_i, c_j) and (cdag_i, cdag_j) with i <= j and (c_i, cdag_j)
+        are exactly the pairs x <= y of rows.  Each anticommutator XY + YX,
+        minus the identity when Y is X's adjoint, has at most three entries
+        per column, added up by their target row.  Weights are small
+        integers here, so every norm is exact.  Raises ValueError for an
+        operator with more than one entry in a column.
+        """
+        target, weight = self._tables
+        dim, n_ops = self.dim, 2 * self.n_modes
+        cols = np.arange(dim)
         worst = 0.0
-        for i in range(self.n_modes):
-            for j in range(i, self.n_modes):
-                anti = self.c[i] @ self.c[j] + self.c[j] @ self.c[i]
-                worst = max(worst, _fro(anti))
-                anti = self.cdag[i] @ self.cdag[j] + self.cdag[j] @ self.cdag[i]
-                worst = max(worst, _fro(anti))
-        for i in range(self.n_modes):
-            for j in range(self.n_modes):
-                mixed = self.c[i] @ self.cdag[j] + self.cdag[j] @ self.c[i]
-                if i == j:
-                    mixed = mixed - eye
-                worst = max(worst, _fro(mixed))
-        return worst
+        for x in range(n_ops):
+            ys = np.arange(x, n_ops)[:, None]
+            tx, wx = target[x, :dim], weight[x, :dim]
+            ty, wy = target[ys, cols], weight[ys, cols]
+            diagonal = np.broadcast_to(cols, ty.shape)
+            rows = np.concatenate((target[x][ty], target[ys, tx], diagonal), axis=1)
+            eye = np.broadcast_to(-1.0 * (ys == x + self.n_modes), ty.shape)
+            vals = np.concatenate((weight[x][ty] * wy, weight[ys, tx] * wx, eye), axis=1)
+            keys = (rows + (dim + 1) * np.arange(ys.size)[:, None]).ravel()
+            size = ys.size * (dim + 1)
+            re = np.bincount(keys, vals.real.ravel(), size)
+            im = np.bincount(keys, vals.imag.ravel(), size)
+            worst = max(worst, float((re ** 2 + im ** 2).reshape(ys.size, -1).sum(axis=1).max()))
+        return math.sqrt(worst)
 
 
 def build_fermion_ops(lattice: Lattice) -> FermionOps:
@@ -462,16 +477,15 @@ def _hop_tables(ops: FermionOps):
     bits.
     """
     n = ops.lattice.n_sites
-    c = [_column_table(op, ops.dim) for op in ops.c]
-    cdag = [_column_table(op, ops.dim) for op in ops.cdag]
+    targets, op_weights = ops._tables
     cols = np.arange(ops.dim)
     weights = np.zeros((2 * n * n, ops.dim), dtype=complex)
     masks = np.zeros(2 * n * n, dtype=np.intp)
     for row, (s, a, b) in enumerate(np.ndindex(2, n, n)):
         ma, mb = ops.mode(a, s), ops.mode(b, s)
         mask = (1 << (ops.n_modes - 1 - ma)) ^ (1 << (ops.n_modes - 1 - mb))
-        target_a, weight_a = c[ma]
-        target_b, weight_b = cdag[mb]
+        target_a, weight_a = targets[ma], op_weights[ma]
+        target_b, weight_b = targets[ops.n_modes + mb], op_weights[ops.n_modes + mb]
         weight = (weight_b[target_a] * weight_a)[:ops.dim]
         moved = weight != 0
         if np.any(target_b[target_a][:ops.dim][moved] != cols[moved] ^ mask):
@@ -724,9 +738,10 @@ def _terms(lattice: Lattice):
     """Every energy term: (sites (T, 3), first table rows (T,), touch, width).
 
     Site index n_sites is the phantom hole.  touch[s] lists, for the terms
-    on site s, (s0, s1, s2, counts by code index) with the five counts
-    packed `width` bits apart: no term counts more than 2, so no total
-    reaches 2**width.
+    on site s, (s0, s1, s2, counts by code index, weight) with the five
+    counts packed `width` bits apart (no term counts more than 2, so no
+    total reaches 2**width) and weight the digit weight of s in the code
+    index 16 c0 + 4 c1 + c2 (summed if s occurs twice).
     """
     hole = lattice.n_sites
     terms = [(0, a, hole, hole) for a in range(hole)]
@@ -737,7 +752,8 @@ def _terms(lattice: Lattice):
     touch = [[] for _ in range(hole)]
     for row, *triple in terms:
         for s in set(triple) - {hole}:
-            touch[s].append((*triple, tuple(packed[row:row + 64])))
+            weight = sum(w for w, t in zip((16, 4, 1), triple) if t == s)
+            touch[s].append((*triple, tuple(packed[row:row + 64]), weight))
     arr = np.array(terms, dtype=np.intp)
     return arr[:, 1:], arr[:, 0].astype(np.uint8), tuple(map(tuple, touch)), width
 
@@ -998,24 +1014,94 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
     return best, tuple(minimizers)
 
 
-def _draw_slot(rng, codes: list, n_slots: int, bit: int) -> int:
+_RAW_BLOCK = 4096           # PCG64 words the annealer reads per block
+
+
+def _pcg64_draws(rng):
+    """Scalar draws of a PCG64 Generator, read from its raw stream in blocks.
+
+    Returns (random, integers, close).  random() and integers(n), for
+    1 <= n <= 2**32, return rng.random() and rng.integers(0, n) bit for bit,
+    reproducing numpy's algorithms on words of rng.bit_generator.random_raw:
+    a double is (w >> 11) * 2**-53 of one word; an integer is Lemire's
+    bounded draw on the 32-bit halves of a word, low half first, with the
+    high half kept for the next call; integers(1) draws nothing.  The reader
+    starts from the rng's buffered half, if it holds one.  close() rewinds
+    the rng to its start, advances it by the words consumed and sets the
+    buffered half, so the rng ends exactly where the scalar calls would have
+    left it.  Raises TypeError for any bit generator other than PCG64.
+    """
+    bitgen = getattr(rng, "bit_generator", None)
+    if not isinstance(bitgen, np.random.PCG64):
+        name = type(bitgen or rng).__name__
+        raise TypeError(f"rng must be a numpy Generator on PCG64, got {name}")
+    start = bitgen.state
+    # numpy keeps a consumed half in the state, flagged unbuffered
+    buffered, half = bool(start["has_uint32"]), start["uinteger"]
+    block = []
+    pos = used = 0              # next word in block; words of earlier blocks
+
+    def word():
+        nonlocal pos, used
+        if pos == len(block):
+            used += pos
+            block[:] = bitgen.random_raw(_RAW_BLOCK).tolist()
+            pos = 0
+        pos += 1
+        return block[pos - 1]
+
+    def random():
+        return (word() >> 11) * 2.0 ** -53
+
+    def integers(n):
+        nonlocal buffered, half
+        if n == 1:
+            return 0
+        while True:
+            if buffered:
+                m = half * n
+            else:
+                w = word()
+                m = (w & 0xFFFFFFFF) * n
+                half = w >> 32
+            buffered = not buffered
+            low = m & 0xFFFFFFFF
+            # reject the low products below (2**32 - n) % n, which is < n
+            if low >= n or low >= (0x100000000 - n) % n:
+                return m >> 32
+
+    def close():
+        bitgen.state = start
+        bitgen.advance(used + pos)
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = int(buffered), half
+        bitgen.state = state
+
+    return random, integers, close
+
+
+def _draw_slot(integers, codes: list, n_slots: int, bit: int) -> int:
     """A random spin slot holding `bit`, or -1 after 64 misses."""
     for _ in range(64):
-        slot = int(rng.integers(0, n_slots))
+        slot = integers(n_slots)
         if codes[slot >> 1] >> (slot & 1) & 1 == bit:
             return slot
     return -1
 
 
 def _site_change(codes: list, touch: tuple, site: int, code: int) -> int:
-    """Set codes[site] = code; return the change of the packed term counts."""
-    before = after = 0
-    for a, b, c, table in touch[site]:
-        before += table[16 * codes[a] + 4 * codes[b] + codes[c]]
+    """Set codes[site] = code; return the change of the packed term counts.
+
+    The write moves each touching term's table row by the site's digit
+    weight times the code step, so every term is read once at each row.
+    """
+    step = code - codes[site]
+    delta = 0
+    for a, b, c, table, weight in touch[site]:
+        row = 16 * codes[a] + 4 * codes[b] + codes[c]
+        delta += table[row + weight * step] - table[row]
     codes[site] = code
-    for a, b, c, table in touch[site]:
-        after += table[16 * codes[a] + 4 * codes[b] + codes[c]]
-    return after - before
+    return delta
 
 
 @dataclass(frozen=True)
@@ -1054,6 +1140,12 @@ def ground_search_anneal(
     change the five integer energy counts by exact differences, so every
     running and best energy is bitwise `energy` of its state and can never
     undercut the exact enumeration minimum.  Deterministic for a given seed.
+
+    rng must be a numpy Generator on PCG64 (np.random.default_rng), or a
+    TypeError is raised.  Its draws are read in blocks from the raw PCG64
+    stream (see `_pcg64_draws`); the result, and the state the rng is left
+    in, match the scalar rng.random() and rng.integers() calls of the same
+    algorithm bit for bit.
     """
     n = lattice.n_sites
     if not 0 <= electrons <= 2 * n:
@@ -1078,6 +1170,7 @@ def ground_search_anneal(
     counts = _term_counts(np.array([codes[:n]]), lattice)[:, 0].tolist()
     packed = sum(c << s for c, s in zip(counts, shifts))
     e_now = best_e = _combine(counts, p)
+    energies = {packed: e_now}      # packed counts -> energy, for this run
     best_codes = tuple(codes[:n])
     n_slots = 2 * n
     movable = 0 < electrons < n_slots
@@ -1086,43 +1179,50 @@ def ground_search_anneal(
     temp = float(t_init)
     exp = math.exp
 
-    for _ in range(sweeps):
-        for _ in range(n_slots):
-            if rng.random() < 0.5:
-                if not movable:
-                    continue
-                src = _draw_slot(rng, codes, n_slots, 1)
-                dst = _draw_slot(rng, codes, n_slots, 0)
-                if src < 0 or dst < 0:
-                    continue
-                i, j = src >> 1, dst >> 1
-                old_i, old_j = codes[i], codes[j]
-                delta = _site_change(codes, touch, i, old_i ^ (1 << (src & 1)))
-                delta += _site_change(codes, touch, j, codes[j] ^ (1 << (dst & 1)))
-            else:
-                for _ in range(64):
-                    i = int(rng.integers(0, n))
-                    if codes[i] in (1, 2):
-                        break
+    random, integers, close = _pcg64_draws(rng)
+    try:
+        for _ in range(sweeps):
+            for _ in range(n_slots):
+                if random() < 0.5:
+                    if not movable:
+                        continue
+                    src = _draw_slot(integers, codes, n_slots, 1)
+                    dst = _draw_slot(integers, codes, n_slots, 0)
+                    if src < 0 or dst < 0:
+                        continue
+                    i, j = src >> 1, dst >> 1
+                    old_i, old_j = codes[i], codes[j]
+                    delta = _site_change(codes, touch, i, old_i ^ (1 << (src & 1)))
+                    delta += _site_change(codes, touch, j, codes[j] ^ (1 << (dst & 1)))
                 else:
-                    continue
-                j = i
-                old_i = old_j = codes[i]
-                delta = _site_change(codes, touch, i, old_i ^ 3)
-            e_new = _combine([(packed + delta) >> s & mask for s in shifts], p)
-            d_e = e_new - e_now
-            if d_e <= 0.0 or (temp > 0.0 and rng.random() < exp(-d_e / temp)):
-                packed += delta
-                e_now = e_new
-                accepted += 1
-                if e_now < best_e:
-                    best_e = e_now
-                    best_codes = tuple(codes[:n])
-            else:
-                codes[j] = old_j
-                codes[i] = old_i
-        trace.append(e_now)
-        temp *= cooling
+                    for _ in range(64):
+                        i = integers(n)
+                        if codes[i] in (1, 2):
+                            break
+                    else:
+                        continue
+                    j = i
+                    old_i = old_j = codes[i]
+                    delta = _site_change(codes, touch, i, old_i ^ 3)
+                new = packed + delta
+                e_new = energies.get(new)
+                if e_new is None:
+                    e_new = energies[new] = _combine([new >> s & mask for s in shifts], p)
+                d_e = e_new - e_now
+                if d_e <= 0.0 or (temp > 0.0 and random() < exp(-d_e / temp)):
+                    packed = new
+                    e_now = e_new
+                    accepted += 1
+                    if e_now < best_e:
+                        best_e = e_now
+                        best_codes = tuple(codes[:n])
+                else:
+                    codes[j] = old_j
+                    codes[i] = old_i
+            trace.append(e_now)
+            temp *= cooling
+    finally:
+        close()
 
     return AnnealResult(
         best_energy=best_e,

@@ -19,6 +19,11 @@ def canonical_params(alpha_q, beta_q, convention="ordered"):
                           bond_convention=convention)
 
 
+def fro(mat) -> float:
+    """Frobenius norm of a sparse matrix."""
+    return float(np.sqrt(np.sum(np.abs(mat.data) ** 2))) if mat.nnz else 0.0
+
+
 def naive_energy(occ, lattice, p):
     """Plain-loop reference for the stationary energy."""
     n = lattice.n_sites
@@ -272,14 +277,14 @@ class TestCurrentOps:
                 for b in range(4):
                     cur = q.current_ops(ops22, a, b, sigma)
                     for op in (cur.rho, cur.j, cur.k):
-                        assert q._fro(op - op.conj().T) < 1e-13
+                        assert fro(op - op.conj().T) < 1e-13
 
     def test_hop_adjoint_reverses_direction(self, ops22):
         for a in range(4):
             for b in range(4):
                 fwd = q.current_ops(ops22, a, b, q.SPIN_UP).v
                 rev = q.current_ops(ops22, b, a, q.SPIN_UP).v
-                assert q._fro(fwd.conj().T - rev) < 1e-13
+                assert fro(fwd.conj().T - rev) < 1e-13
 
     def test_hop_is_cdag_b_c_a(self, ops22):
         for sigma in (q.SPIN_UP, q.SPIN_DOWN):
@@ -287,14 +292,14 @@ class TestCurrentOps:
                 for b in range(4):
                     cur = q.current_ops(ops22, a, b, sigma)
                     direct = ops22.cdag[ops22.mode(b, sigma)] @ ops22.c[ops22.mode(a, sigma)]
-                    assert q._fro(cur.v - direct) < 1e-14
+                    assert fro(cur.v - direct) < 1e-14
 
     def test_coincident_site_reductions(self, ops22):
         for a in range(4):
             cur = q.current_ops(ops22, a, a, q.SPIN_DOWN)
-            assert q._fro(cur.v - cur.rho) < 1e-14
-            assert q._fro(cur.k - 2.0 * cur.rho) < 1e-14
-            assert q._fro(cur.j) < 1e-14
+            assert fro(cur.v - cur.rho) < 1e-14
+            assert fro(cur.k - 2.0 * cur.rho) < 1e-14
+            assert fro(cur.j) < 1e-14
 
     def test_validation(self, ops22):
         with pytest.raises(ValueError):
@@ -318,7 +323,7 @@ class TestCheckCommutators:
         rho_up = q.current_ops(ops, 0, 0, q.SPIN_UP).rho
         cur_dn = q.current_ops(ops, 0, 1, q.SPIN_DOWN)
         for op in (cur_dn.j, cur_dn.k):
-            assert q._fro(rho_up @ op - op @ rho_up) < 1e-15
+            assert fro(rho_up @ op - op @ rho_up) < 1e-15
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):
@@ -341,7 +346,30 @@ def hard_core_boson_ops(lattice):
     return q.FermionOps(lattice=lattice, c=tuple(ann), cdag=cdag, dim=2 ** n_modes)
 
 
+def sparse_car_residual(ops):
+    """Reference for FermionOps.car_residual from scipy.sparse products."""
+    eye = sparse.identity(ops.dim, dtype=complex, format="csr")
+    worst = 0.0
+    for i in range(ops.n_modes):
+        for j in range(i, ops.n_modes):
+            worst = max(worst, fro(ops.c[i] @ ops.c[j] + ops.c[j] @ ops.c[i]),
+                        fro(ops.cdag[i] @ ops.cdag[j] + ops.cdag[j] @ ops.cdag[i]))
+        for j in range(ops.n_modes):
+            mixed = ops.c[i] @ ops.cdag[j] + ops.cdag[j] @ ops.c[i]
+            worst = max(worst, fro(mixed - eye if i == j else mixed))
+    return worst
+
+
 class TestAlgebraTables:
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2)])
+    def test_car_residual_matches_sparse_products(self, shape):
+        lat = q.Lattice(*shape, "open")
+        for build in (q.build_fermion_ops, hard_core_boson_ops):
+            ops = build(lat)
+            assert ops.car_residual() == sparse_car_residual(ops)
+        # without the string, distinct modes commute: {c_i, c_j} = 2 c_i c_j
+        assert hard_core_boson_ops(lat).car_residual() == 2.0 * math.sqrt(4 ** lat.n_sites / 4)
+
     def test_hop_tables_reproduce_current_ops(self, ops22):
         weights, masks = q._hop_tables(ops22)
         cols = np.arange(ops22.dim)
@@ -783,6 +811,118 @@ class TestGroundSearchAnneal:
             q.ground_search_anneal(lat, p, 4, schedule=(1.0, 1.5, 10))
         with pytest.raises(ValueError):
             q.ground_search_anneal(lat, p, 4, schedule=(-1.0, 0.9, 10))
+
+
+def scalar_anneal(lattice, p, electrons, schedule, rng):
+    """Reference for ground_search_anneal: the same moves, drawn by scalar
+    Generator calls, with each proposal's energy from q.energy."""
+    n = lattice.n_sites
+    t_init, cooling, sweeps = schedule
+    codes = [0] * n
+    for slot in rng.permutation(2 * n)[:electrons].tolist():
+        codes[slot >> 1] |= 1 << (slot & 1)
+
+    def draw_slot(bit):
+        for _ in range(64):
+            slot = int(rng.integers(0, 2 * n))
+            if codes[slot >> 1] >> (slot & 1) & 1 == bit:
+                return slot
+        return -1
+
+    e_now = best_e = q.energy(q.Occupation(codes), lattice, p)
+    best = tuple(codes)
+    trace, accepted, temp = [], 0, float(t_init)
+    for _ in range(sweeps):
+        for _ in range(2 * n):
+            old = list(codes)
+            if rng.random() < 0.5:
+                if not 0 < electrons < 2 * n:
+                    continue
+                src, dst = draw_slot(1), draw_slot(0)
+                if src < 0 or dst < 0:
+                    continue
+                codes[src >> 1] ^= 1 << (src & 1)
+                codes[dst >> 1] ^= 1 << (dst & 1)
+            else:
+                for _ in range(64):
+                    i = int(rng.integers(0, n))
+                    if codes[i] in (1, 2):
+                        break
+                else:
+                    continue
+                codes[i] ^= 3
+            e_new = q.energy(q.Occupation(codes), lattice, p)
+            d_e = e_new - e_now
+            if d_e <= 0.0 or (temp > 0.0 and rng.random() < math.exp(-d_e / temp)):
+                e_now = e_new
+                accepted += 1
+                if e_now < best_e:
+                    best_e, best = e_now, tuple(codes)
+            else:
+                codes[:] = old
+        trace.append(e_now)
+        temp *= cooling
+    return best_e, q.Occupation(best), tuple(trace), accepted
+
+
+class TestAnnealDraws:
+    SIZES = (1, 2, 9, 24, 32, 72, 3 * 2 ** 30)   # the last one rejects 1 draw in 4
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_reader_matches_generator(self, buffered):
+        live, read = np.random.default_rng(5), np.random.default_rng(5)
+        if buffered:
+            live.integers(0, 7)
+            read.integers(0, 7)
+        random, integers, close = q._pcg64_draws(read)
+        plan = np.random.default_rng(17)
+        want, got = [], []
+        # about 6000 random() calls alone: the reads cross a 4096-word block
+        for _ in range(12000):
+            if plan.random() < 0.5:
+                want.append(live.random())
+                got.append(random())
+            else:
+                size = self.SIZES[plan.integers(0, len(self.SIZES))]
+                want.append(int(live.integers(0, size)))
+                got.append(integers(size))
+        close()
+        assert got == want
+        assert read.bit_generator.state == live.bit_generator.state
+        assert read.integers(0, 2 ** 32) == live.integers(0, 2 ** 32)
+
+    @pytest.mark.parametrize("shape, electrons", [
+        ((1, 1, "open"), 0), ((1, 1, "open"), 1), ((1, 1, "open"), 2),
+        ((2, 2, "periodic"), 5), ((3, 3, "open"), 7)])
+    def test_anneal_matches_scalar_draws(self, shape, electrons):
+        lat = q.Lattice(*shape)
+        p = canonical_params(0, 1)
+        for seed, schedule in ((0, (2.0, 0.9, 40)), (1, (0.0, 0.5, 20))):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            rng.integers(0, 7)
+            ref_rng.integers(0, 7)
+            res = q.ground_search_anneal(lat, p, electrons, schedule=schedule, rng=rng)
+            ref = scalar_anneal(lat, p, electrons, schedule, ref_rng)
+            assert (res.best_energy, res.best_occupation, res.trace, res.n_accepted) == ref
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_other_bit_generators_rejected(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            q.ground_search_anneal(q.Lattice(2, 2), canonical_params(0, 1), 3,
+                                   rng=np.random.Generator(np.random.MT19937(0)))
+
+    @pytest.mark.parametrize("shape, electrons, seed, e_best, best, n_accepted, next_draw", [
+        ((4, 4, "open"), 12, 0, -54.8, "ddduu.ud.d.du.ud", 6210, 2371069257),
+        ((4, 4, "periodic"), 12, 1, -78.4, "d.d..ududdud.udu", 97, 367703437),
+        ((3, 4, "open"), 10, 2, -34.0, "duuuud.dduu.", 3099, 3679203310),
+    ])
+    def test_seeded_stream_is_pinned(self, shape, electrons, seed, e_best, best,
+                                     n_accepted, next_draw):
+        rng = np.random.default_rng(seed)
+        res = q.ground_search_anneal(q.Lattice(*shape), canonical_params(0, 1), electrons,
+                                     rng=rng)
+        assert (res.best_energy, str(res.best_occupation), res.n_accepted) == (e_best, best, n_accepted)
+        assert rng.integers(0, 2 ** 32) == next_draw
 
 
 @pytest.fixture(scope="module")
