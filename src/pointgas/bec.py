@@ -11,9 +11,12 @@ nu. Above t_c the fugacity follows from the constraint; below it z = 1 and
 all curves collapse onto the nu-independent condensed branch.
 
 The fugacity solver and the thermodynamic functions work on temperature
-arrays: a whole grid goes through one batched bisection/Newton pass on
+arrays: a whole grid goes through one batched Newton loop in log z on
 (temperatures x nodes) arrays, and every scalar entry point is a length-1
-batch of the same code.
+batch of the same code. In log z the constraint's logarithm is convex and
+increasing, so Newton from the z cap descends monotonically onto the root;
+only near t_c, where one ulp of z moves the constraint by more than 1e-12,
+is the residual limited by the float grid of z rather than by the solver.
 """
 
 from __future__ import annotations
@@ -106,10 +109,9 @@ class ThermoPoint:
 
 
 def _log_powers(z, x):
-    # log(z^x) = x * log1p(z - 1): stable near z = 1 and exact at z = 1;
-    # one row per fugacity in z (none for a scalar z), one column per node
-    with np.errstate(divide="ignore"):
-        return np.log1p(np.asarray(z, dtype=float) - 1.0)[..., None] * x
+    # log(z^x) = x log z: one row per fugacity in z (none for a scalar z),
+    # one column per node
+    return np.log(z)[..., None] * x
 
 
 def _ens_sum(s, log_zx, w):
@@ -133,21 +135,28 @@ def critical_temperature(ens, n_nodes=64):
 
 def solve_fugacity(t_star, ens, n_nodes=64):
     """Root of int nu g_{3/2}(z^x) dx = t^{-3/2} on (0, 1) at each
-    temperature: bisection bracket then Newton polish.
+    temperature, by Newton's method in L = log z.
 
-    A temperature array is solved in one batched bisection/Newton pass on
-    (temperatures x nodes) arrays; each element follows the scalar
-    algorithm and leaves the batch once it has converged. A scalar
-    temperature is a length-1 batch and returns a float.
+    In L the constraint's left side F(L) = int nu g_{3/2}(e^{xL}) dx is a
+    positive sum of exponentials e^{kxL}, so log F is convex and increasing
+    (a log-sum-exp of linear functions). Newton on G(L) = log F(L) - log
+    t^{-3/2}, started at the z cap 1 - 1e-12 where G > 0, therefore falls
+    monotonically onto the root with no bracket or safeguard; each element
+    stops once a step no longer shrinks |G|. Its step is G F / F', with
+    F'(L) = int nu x g_{1/2}(e^{xL}) dx.
 
-    Terminates with residual < 1e-12 wherever the constraint slope permits;
-    very close to the condensation point one ulp of z moves the constraint
-    by more than that, and the root is instead pinned between adjacent
-    floats (minimal-residual endpoint returned). A root at or beyond the
-    z cap 1 - 1e-12 returns the cap itself, the condensed-branch signal the
-    thermodynamic functions act on. Raises ValueError if any temperature is
-    at or below the condensation temperature (there the caller takes
-    z = 1), RuntimeError if the polish stalls."""
+    A temperature array is solved in one batched pass on (temperatures x
+    nodes) arrays; each element follows the scalar iteration and leaves the
+    batch on its own, so array results equal scalar calls bit for bit. A
+    scalar temperature is a length-1 batch and returns a float.
+
+    The residual reaches rounding level, below 1e-12, except very close to
+    the condensation point, where one ulp of z moves the constraint by more
+    than that. A root at or beyond the z cap returns the cap itself, the
+    condensed-branch signal the thermodynamic functions act on. Raises
+    ValueError if any temperature is at or below the condensation
+    temperature (there the caller takes z = 1), RuntimeError if the
+    iteration does not settle or the constraint or z underflows."""
     t = _positive(t_star)
     ts = t.reshape(-1)
     t_c = critical_temperature(ens, n_nodes)
@@ -155,45 +164,31 @@ def solve_fugacity(t_star, ens, n_nodes=64):
         raise ValueError(f"t_star = {float(ts[ts <= t_c][0]):g} is in the condensed phase "
                          f"(t_c = {t_c:.6f}); use z = 1")
     x, w = ens.quadrature(n_nodes)
-
-    def constraint(z_rows, target):
-        return _ens_sum(1.5, _log_powers(z_rows, x), w) - target
-
-    z = np.full(ts.shape, _Z_CAP)
-    target = ts ** -1.5
-    solve = np.flatnonzero(constraint(z, target) > 0.0)
-    target = target[solve]
-    lo, hi = np.zeros(solve.size), np.full(solve.size, _Z_CAP)
-    live = np.arange(solve.size)
-    for _ in range(200):
-        mid = 0.5 * (lo[live] + hi[live])
-        split = (mid > lo[live]) & (mid < hi[live])
-        live, mid = live[split], mid[split]
+    log_target = -1.5 * np.log(ts)
+    log_z = np.full(ts.shape, math.log(_Z_CAP))
+    f = _ens_sum(1.5, log_z[:, None] * x, w)
+    g = np.log(f) - log_target
+    solve = live = np.flatnonzero(g > 0.0)
+    # 6-13 steps from the cap in practice; the bound only stops a runaway
+    for _ in range(100):
         if not live.size:
             break
-        up = constraint(mid, target[live]) >= 0.0
-        hi[live[up]] = mid[up]
-        lo[live[~up]] = mid[~up]
-    r_lo, r_hi = constraint(lo, target), constraint(hi, target)
-    take_hi = np.abs(r_hi) < np.abs(r_lo)
-    root, resid = np.where(take_hi, hi, lo), np.where(take_hi, r_hi, r_lo)
-    live = np.arange(solve.size)
-    for _ in range(6):
-        live = live[np.abs(resid[live]) >= 1e-13]
-        if not live.size:
-            break
-        zl = root[live]
-        slope = _ens_sum(0.5, _log_powers(zl, x), w * x) / zl
-        cand = np.minimum(np.maximum(zl - resid[live] / slope, 0.0), _Z_CAP)
-        cand_resid = constraint(cand, target[live])
-        better = np.abs(cand_resid) < np.abs(resid[live])
+        step = g[live] * f[live] / _ens_sum(0.5, log_z[live, None] * x, w * x)
+        cand = log_z[live] - step
+        f_cand = _ens_sum(1.5, cand[:, None] * x, w)
+        if np.any(f_cand == 0.0):
+            raise RuntimeError("density constraint underflows at t_star = "
+                               f"{ts[live[f_cand == 0.0]][0]:g}")
+        g_cand = np.log(f_cand) - log_target[live]
+        better = np.abs(g_cand) < np.abs(g[live])
         live = live[better]
-        root[live], resid[live] = cand[better], cand_resid[better]
-    stalled = (np.abs(resid) > 1e-12) & (np.nextafter(lo, 1.0) < hi)
-    if stalled.any():
-        raise RuntimeError(
-            f"fugacity solver stalled at t_star = {ts[solve[stalled]][0]:g}")
-    z[solve] = root
+        log_z[live], f[live], g[live] = cand[better], f_cand[better], g_cand[better]
+    if live.size:
+        raise RuntimeError(f"fugacity solver did not settle at t_star = {ts[live][0]:g}")
+    z = np.full(ts.shape, _Z_CAP)
+    z[solve] = np.exp(log_z[solve])
+    if np.any(z == 0.0):
+        raise RuntimeError(f"fugacity underflows to 0 at t_star = {ts[z == 0.0][0]:g}")
     if t.ndim == 0:
         return float(z[0])
     return z.reshape(t.shape)

@@ -1,6 +1,7 @@
 """Tests for the superposed-ensemble boson thermodynamics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,23 @@ class TestSolveFugacity:
         ens = bec.Ensemble.single() if sig == 0.0 else bec.Ensemble.lognormal(sig)
         z = bec.solve_fugacity(t, ens)
         assert constraint_residual(ens, t, z) < 1e-12
+
+    @pytest.mark.parametrize("sig,t", [(0.8, 1e3), (0.8, 1e5), (0.0, 1e11)])
+    def test_relative_residual_at_high_temperature(self, sig, t):
+        # z falls to 1e-54 here; log z must keep its digits below 1e-16
+        ens = bec.Ensemble.single() if sig == 0.0 else bec.Ensemble.lognormal(sig)
+        z = bec.solve_fugacity(t, ens)
+        x, w = ens.quadrature()
+        total = float((w * specfun.polylog_from_log(1.5, np.log(z) * x)).sum())
+        assert abs(total / t ** -1.5 - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("ens,t", [(bec.Ensemble.lognormal(0.4), 1e50),
+                                       (bec.Ensemble.single(), 1e300)])
+    def test_underflow_raises(self, ens, t):
+        # z = exp(log z) is 0.0 at (0.4, 1e50); the constraint itself
+        # underflows on the way to the root at (0, 1e300)
+        with pytest.raises(RuntimeError, match=re.escape(f"t_star = {t:g}")):
+            bec.solve_fugacity(np.array([2.0, t]), ens)
 
     def test_monotone_decreasing_in_t(self):
         ens = bec.Ensemble.single()
@@ -237,6 +255,19 @@ class TestCvCurve:
             for r in bec.cv_curve([sigma], grid):
                 pt = bec.thermo_point(r["T_star"], ens)
                 assert (r["z"], r["u"], r["cv"]) == (pt.z, pt.u, pt.cv)
+
+    def test_polylog_call_count(self, monkeypatch):
+        # one Newton loop per ensemble makes 84 polylog calls on this grid
+        calls = []
+        polylog_from_log = specfun.polylog_from_log
+
+        def counted(order, log_z):
+            calls.append(order)
+            return polylog_from_log(order, log_z)
+
+        monkeypatch.setattr(specfun, "polylog_from_log", counted)
+        bec.cv_curve((0.1, 0.4, 0.8), np.linspace(0.3, 1.2, 20))
+        assert len(calls) <= 100
 
     def test_csv_bytes_stable(self, tmp_path):
         argv = ["bec-curve", "sigmas=0.4", "tmin=0.4", "tmax=0.8", "steps=2"]

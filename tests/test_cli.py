@@ -507,6 +507,33 @@ class TestBecCurve:
         assert "-5e-05" not in err
         assert not list(out.iterdir())
 
+    def test_high_temperature_range(self, tmp_path):
+        # z reaches 1e-14 at T = 1e3; t_c = zeta(3/2)^(-2/3) = 0.5272
+        code, out = run_cli(tmp_path, "bec-curve", "sigmas=0.8", "tmin=0.3",
+                            "tmax=1000", "steps=5")
+        assert code == 0
+        _, rows = read_csv(out / "cv_curve.csv")
+        above = [r for r in rows if float(r["T_star"]) > 1.001 * 0.527201068797149]
+        assert len(above) == 4
+        assert all(float(r["cv_fd_relerr"]) < 1e-6 for r in above)
+
+    def test_very_high_temperature_rows_finite(self, tmp_path):
+        code, out = run_cli(tmp_path, "bec-curve", "sigmas=0.8", "tmin=100",
+                            "tmax=100000", "steps=4")
+        assert code == 0
+        _, rows = read_csv(out / "cv_curve.csv")
+        assert len(rows) == 4
+        assert all(math.isfinite(float(v)) for r in rows for v in r.values())
+
+    @pytest.mark.parametrize("sigma,tmax", [("0", "1e300"), ("0.4", "1e50")])
+    def test_underflowing_fugacity_exits_3_without_outputs(self, tmp_path, capsys,
+                                                           sigma, tmax):
+        code, out = run_cli(tmp_path, "bec-curve", f"sigmas={sigma}", "tmin=1",
+                            f"tmax={tmax}", "steps=2")
+        assert code == 3
+        assert f"t_star = {float(tmax):g}" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
 
 class TestQuiverAlgebra:
     def test_all_residuals_vanish(self, tmp_path):
@@ -593,6 +620,7 @@ class TestQuiverGround:
     ("ml-weights", "alpha=0.999"),
     ("ground-potential", "n_particles=2", "kind=calogero", "lam=1e300"),
     ("ground-potential", "n_particles=3", "kind=harmonic", "omega=1e300"),
+    ("bec-curve", "sigmas=0", "tmin=1", "tmax=1e300", "steps=2"),
 ])
 def test_expected_overflow_prints_only_the_error_line(tmp_path, capsys, argv):
     # a warning would reach stderr ahead of the error line in a plain process
