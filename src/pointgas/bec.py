@@ -108,12 +108,6 @@ class ThermoPoint:
     cv: float
 
 
-def _log_powers(z, x):
-    # log(z^x) = x log z: one row per fugacity in z (none for a scalar z),
-    # one column per node
-    return np.log(z)[..., None] * x
-
-
 def _ens_sum(s, log_zx, w):
     # row sums of w * g_s(z^x): one nu average per fugacity
     return (w * specfun.polylog_from_log(s, log_zx)).sum(axis=-1)
@@ -203,21 +197,20 @@ def _thermo(t_star, ens, n_nodes):
     above = t > critical_temperature(ens, n_nodes)
     if above.any():
         z[above] = solve_fugacity(t[above], ens, n_nodes)
-    u = 1.5 * t ** 2.5 * _ZETA_52
-    cv = 3.75 * t ** 1.5 * _ZETA_52
+    # above t_c, t^{3/2} times a nu average stays finite where t^{5/2} overflows
+    u, cv = np.empty_like(t), np.empty_like(t)
     free = z < _Z_CAP
+    u[~free] = 1.5 * t[~free] ** 2.5 * _ZETA_52
+    cv[~free] = 3.75 * t[~free] ** 1.5 * _ZETA_52
     if free.any():
-        tf, zf = t[free], z[free]
         x, w = ens.quadrature(n_nodes)
-        log_zx = _log_powers(zf, x)
+        log_zx = np.log(z[free])[:, None] * x
         i52 = _ens_sum(2.5, log_zx, w)
         g32 = specfun.polylog_from_log(1.5, log_zx)
-        i32 = (w * g32).sum(axis=-1)
-        j32 = (w * x * g32).sum(axis=-1) / zf
-        j12 = _ens_sum(0.5, log_zx, w * x) / zf
-        dz_dt = -1.5 * i32 / (tf * j12)
-        u[free] = 1.5 * tf ** 2.5 * i52
-        cv[free] = 3.75 * tf ** 1.5 * i52 + 1.5 * tf ** 2.5 * j32 * dz_dt
+        t32 = t[free] ** 1.5
+        u[free] = 1.5 * t[free] * (t32 * i52)
+        ratio = (w * x * g32).sum(axis=-1) / _ens_sum(0.5, log_zx, w * x)
+        cv[free] = t32 * (3.75 * i52 - 2.25 * (w * g32).sum(axis=-1) * ratio)
     return z, u, cv
 
 
@@ -236,10 +229,10 @@ def internal_energy(t_star, ens, n_nodes=64):
 
 
 def specific_heat(t_star, ens, n_nodes=64):
-    """c_v(t) by implicit differentiation of the density constraint:
+    """c_v(t) by implicit differentiation of the density constraint, with
+    dz/dt = -(3/(2t)) <g_{3/2}> z / <x g_{1/2}> folded in:
 
-        c_v = (15/4) t^{3/2} <g_{5/2}> + (3/2) t^{5/2} <x g_{3/2}/z> dz/dt,
-        dz/dt = -(3/(2t)) <g_{3/2}> / <x g_{1/2}/z>,
+        c_v = t^{3/2} ((15/4) <g_{5/2}> - (9/4) <g_{3/2}> <x g_{3/2}> / <x g_{1/2}>),
 
     where <.> is the nu average at fugacity z^x. Below the condensation
     point (and inside the near-critical guard band) the z = 1 branch

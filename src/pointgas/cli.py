@@ -333,9 +333,11 @@ def emit_svg_lines(table, x_col, y_col, group_col):
 # Input caps: larger inputs exit 2 before any allocation.  Each keeps the
 # peak RSS above a bare interpreter near 200 MB, as measured on a 2-vCPU
 # Linux VM (Python 3.11, numpy 2.4).
-# girard-limit n_max: the doubled run's (4 n_max + 1)^2 complex matrices
-# peak at about 220 MB.
-_GIRARD_N_MAX = 512
+# girard-limit: the doubled run's FFT grid of 16 n_max points peaks at about
+# 190 MB; its LU over the occupied modes (about length / sqrt(beta) of them,
+# whatever n_max is) at about 160 MB for 1500 modes, 205 MB with that grid.
+_GIRARD_N_MAX = 100_000
+_GIRARD_MODES_MAX = 1500
 # ml-weights n_max: the (mixing nodes, n_max + 1) Poisson table peaks at
 # about 225 MB for alpha = 0.01, the rule with the most nodes (2376).
 _ML_WEIGHTS_N_MAX = 4096
@@ -477,40 +479,42 @@ def _cmd_sample_measure(cfg):
 def _cmd_girard_limit(cfg):
     p = cfg.parameters
     if p["n_max"] > _GIRARD_N_MAX:
-        raise ValueError(
-            f"n_max must not exceed {_GIRARD_N_MAX}: the doubled run's dense mode "
-            f"matrices would need more than about 220 MB")
+        raise ValueError(f"n_max must not exceed {_GIRARD_N_MAX}: the doubled run's "
+                         f"FFT grid would need more than about 200 MB")
     if not 0.0 < p["width"] <= p["length"]:
         raise ValueError("width must lie in (0, length]")
     if any(b <= 0.0 for b in p["betas"]):
         raise ValueError("betas must be positive")
+    runs = [[functionals.GirardParams(p["length"], n, beta, p["rho_bar"])
+             for n in (p["n_max"], 2 * p["n_max"])] for beta in p["betas"]]
+    modes = max(fine.occupied_modes()[0].size for _, fine in runs)
+    if modes > _GIRARD_MODES_MAX:
+        raise ValueError(f"the doubled run occupies {modes} modes; more than "
+                         f"{_GIRARD_MODES_MAX} would need more than about 200 MB")
     f = _indicator(p["amp"], p["width"])
     # zero-temperature limit: only the zero mode stays occupied, hence
     # 1 / (1 - rho_bar * int (e^{if} - 1) dx)
     a = p["width"] * (cmath.exp(1j * p["amp"]) - 1.0)
     target = 1.0 / (1.0 - p["rho_bar"] * a)
     rows = []
-    for beta in p["betas"]:
-        base = functionals.GirardParams(p["length"], p["n_max"], beta, p["rho_bar"])
-        fine = functionals.GirardParams(p["length"], 2 * p["n_max"], beta, p["rho_bar"])
+    for base, fine in runs:
         val = functionals.girard_functional(f, base)
         val2 = functionals.girard_functional(f, fine)
         rows.append({
-            "beta": float(beta),
+            "beta": float(base.beta),
             "value_re": val.real, "value_im": val.imag,
             "doubled_re": val2.real, "doubled_im": val2.imag,
             "truncation": abs(val2 - val),
             "limit_distance": abs(val - target),
         })
-    header = ["beta", "value_re", "value_im", "doubled_re", "doubled_im",
-              "truncation", "limit_distance"]
     report = {
         "zero_t_target_re": target.real,
         "zero_t_target_im": target.imag,
         "final_limit_distance": rows[-1]["limit_distance"],
         "final_truncation": rows[-1]["truncation"],
     }
-    return {"girard.csv": _write_csv(_columns(header, rows)), "report.json": _write_json(report)}
+    return {"girard.csv": _write_csv(_columns(list(rows[0]), rows)),
+            "report.json": _write_json(report)}
 
 
 def _cmd_bec_curve(cfg):

@@ -253,6 +253,16 @@ class GirardParams:
     def mu_chem(self):
         return -math.log1p(1.0 / (self.rho_bar * self.circle_length)) / self.beta
 
+    def occupied_modes(self):
+        """Modes n, zero mode included, whose Bose occupation 1/expm1(beta (k^2
+        - mu)) is nonzero (exact: it is 0.0 only where expm1 overflows), and
+        those occupations."""
+        idx = np.arange(-int(self.n_max), int(self.n_max) + 1)
+        k = 2.0 * math.pi * idx / self.circle_length
+        with np.errstate(over="ignore"):
+            occ = 1.0 / np.expm1(self.beta * (k * k - self.mu_chem))
+        return idx[occ != 0.0], occ[occ != 0.0]
+
 
 @dataclass(frozen=True)
 class GroundStateField:
@@ -318,7 +328,7 @@ def _quadrature_points(f, box, d):
     return sorted(pts)
 
 
-def field_integral(f, box, tol=1e-10):
+def field_integral(f, box):
     """int_box (e^{i f(x)} - 1) dx, exact for indicator-only test functions,
     adaptive quadrature (absolute tolerance ~1e-10) otherwise."""
     if not isinstance(f, TestFunction):
@@ -338,7 +348,7 @@ def field_integral(f, box, tol=1e-10):
         for part, unit in ((0, 1.0), (1, 1.0j)):
             val, err = integrate.quad(g, 0.0, box.sides[0], args=(part,),
                                       points=pts or None, limit=300,
-                                      epsabs=tol * 1e-2, epsrel=1e-11)
+                                      epsabs=1e-12, epsrel=1e-11)
             if err > 1e-7:
                 raise QuadratureError(
                     f"field integral failed to converge (error estimate {err:.2e})")
@@ -536,39 +546,28 @@ def mc_char(f, sampler, n_samples, rng):
 # determinant functional on the circle
 
 
-def girard_functional(f, params, ordering="occupation_right"):
+def girard_functional(f, params):
     """Grand-canonical determinant functional det(I - A n)^{-1} on the
     truncated mode lattice |n| <= n_max.
 
     A is the mode matrix of e^{if} - 1 from a length-8*n_max trapezoid
     (DFT) rule; n is the Bose occupation diagonal for dispersion k^2 and
-    the density-matched chemical potential. The operator order A*n versus
-    n*A is a declared convention ("occupation_right" / "occupation_left");
-     a pole of the functional raises SingularFunctionalError.
+    the density-matched chemical potential. Unoccupied modes give identity
+    columns, so only the principal minor on GirardParams.occupied_modes is
+    built and LU-factored; det(I - A n) = det(I - n A) fixes no operator
+    order. A pole of the functional raises SingularFunctionalError.
     """
-    if ordering not in ("occupation_right", "occupation_left"):
-        raise ValueError(f"unknown ordering {ordering!r}")
-    length = params.circle_length
-    n_max = int(params.n_max)
-    m_grid = max(8 * n_max, 64)
-    x = (np.arange(m_grid) * (length / m_grid))[:, None]
-    h = np.exp(1j * f(x)) - 1.0
-    hhat = np.fft.fft(h) / m_grid
-    idx = np.arange(-n_max, n_max + 1)
-    a_mat = hhat[(idx[:, None] - idx[None, :]) % m_grid]
-    k = 2.0 * math.pi * idx / length
-    with np.errstate(over="ignore"):
-        occ = 1.0 / np.expm1(params.beta * (k * k - params.mu_chem))
-    if ordering == "occupation_right":
-        b_mat = np.eye(idx.size) - a_mat * occ[None, :]
-    else:
-        b_mat = np.eye(idx.size) - occ[:, None] * a_mat
+    m_grid = max(8 * int(params.n_max), 64)
+    x = (np.arange(m_grid) * (params.circle_length / m_grid))[:, None]
+    hhat = np.fft.fft(np.exp(1j * f(x)) - 1.0) / m_grid
+    modes, occ = params.occupied_modes()
+    b_mat = np.eye(modes.size) - hhat[(modes[:, None] - modes[None, :]) % m_grid] * occ
     lu, piv = linalg.lu_factor(b_mat)
     diag = np.diag(lu)
     if not np.all(np.isfinite(diag)):
         raise SingularFunctionalError("determinant evaluation produced non-finite pivots")
     det = complex(np.prod(diag))
-    if np.sum(piv != np.arange(idx.size)) % 2:
+    if np.sum(piv != np.arange(modes.size)) % 2:
         det = -det
     if abs(det) < 1e-100:
         raise SingularFunctionalError(

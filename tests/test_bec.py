@@ -24,7 +24,7 @@ ENSEMBLES = [
 
 def constraint_residual(ens, t_star, z, n_nodes=64):
     x, w = ens.quadrature(n_nodes)
-    total = float((w * specfun.polylog_from_log(1.5, bec._log_powers(z, x))).sum())
+    total = float((w * specfun.polylog_from_log(1.5, np.log(z) * x)).sum())
     return abs(total - t_star ** -1.5)
 
 

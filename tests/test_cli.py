@@ -450,9 +450,24 @@ class TestGirardLimit:
         assert code == 2
 
     def test_oversized_n_max_exits_2_without_outputs(self, tmp_path, capsys):
-        code, out = run_cli(tmp_path, "girard-limit", "n_max=100000")
+        code, out = run_cli(tmp_path, "girard-limit", "n_max=100001")
         assert code == 2
-        assert "512" in capsys.readouterr().err
+        assert "100000" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
+    def test_n_max_at_cap_runs(self, tmp_path):
+        code, out = run_cli(tmp_path, "girard-limit", "n_max=100000", "betas=5")
+        assert code == 0
+        assert (out / "girard.csv").exists()
+
+    @pytest.mark.parametrize("pairs", [("length=1000", "n_max=100000"),
+                                       ("n_max=2000", "betas=1e-5,1")])
+    def test_too_many_occupied_modes_exits_2_without_outputs(self, tmp_path, capsys,
+                                                             pairs):
+        # the occupied modes grow as length / sqrt(beta), whatever n_max is
+        code, out = run_cli(tmp_path, "girard-limit", *pairs)
+        assert code == 2
+        assert "1500" in capsys.readouterr().err
         assert not list(out.iterdir())
 
 
@@ -524,6 +539,18 @@ class TestBecCurve:
         _, rows = read_csv(out / "cv_curve.csv")
         assert len(rows) == 4
         assert all(math.isfinite(float(v)) for r in rows for v in r.values())
+
+    def test_classical_limit_without_overflow(self, tmp_path):
+        # t^{5/2} overflows from about T = 1e123; u / T and c_v tend to 3/2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "bec-curve", "sigmas=0", "tmin=1",
+                                "tmax=1e150", "steps=2")
+        assert code == 0
+        _, rows = read_csv(out / "cv_curve.csv")
+        hot = rows[-1]
+        assert float(hot["u"]) / float(hot["T_star"]) == pytest.approx(1.5, rel=1e-12)
+        assert float(hot["cv"]) == pytest.approx(1.5, rel=1e-12)
 
     @pytest.mark.parametrize("sigma,tmax", [("0", "1e300"), ("0.4", "1e50")])
     def test_underflowing_fugacity_exits_3_without_outputs(self, tmp_path, capsys,

@@ -512,7 +512,57 @@ class TestBatchPairings:
             np.testing.assert_array_equal(single.points, points)
 
 
+def dense_girard(f, params, ordering):
+    # the determinant over all 2 n_max + 1 modes, for either operator order
+    n_max = params.n_max
+    m_grid = max(8 * n_max, 64)
+    x = (np.arange(m_grid) * (params.circle_length / m_grid))[:, None]
+    hhat = np.fft.fft(np.exp(1j * f(x)) - 1.0) / m_grid
+    idx = np.arange(-n_max, n_max + 1)
+    a_mat = hhat[(idx[:, None] - idx[None, :]) % m_grid]
+    k = 2.0 * math.pi * idx / params.circle_length
+    with np.errstate(over="ignore"):
+        occ = 1.0 / np.expm1(params.beta * (k * k - params.mu_chem))
+    if ordering == "occupation_right":
+        b_mat = np.eye(idx.size) - a_mat * occ[None, :]
+    else:
+        b_mat = np.eye(idx.size) - occ[:, None] * a_mat
+    return 1.0 / np.linalg.det(b_mat)
+
+
+GIRARD_BETAS = (0.02, 0.05, 0.2, 1.0, 5.0)
+
+
 class TestGirardFunctional:
+    @pytest.mark.parametrize("n_max", [32, 128, 512])
+    @pytest.mark.parametrize("ordering", ["occupation_right", "occupation_left"])
+    def test_minor_matches_dense_determinant(self, n_max, ordering):
+        for beta in GIRARD_BETAS:
+            p = fn.GirardParams(1.0, n_max, beta, 1.0)
+            ref = dense_girard(F_PI_HALF, p, ordering)
+            assert abs(fn.girard_functional(F_PI_HALF, p) - ref) <= 1e-14 * abs(ref)
+
+    def test_lu_runs_over_occupied_modes_only(self, monkeypatch):
+        sizes = []
+        lu_factor = fn.linalg.lu_factor
+
+        def spy(b_mat):
+            sizes.append(b_mat.shape)
+            return lu_factor(b_mat)
+
+        monkeypatch.setattr(fn.linalg, "lu_factor", spy)
+        for n_max in (32, 512):
+            for beta in GIRARD_BETAS:
+                fn.girard_functional(F_PI_HALF, fn.GirardParams(1.0, n_max, beta, 1.0))
+        counts = [59, 37, 19, 9, 3]
+        assert sizes == [(c, c) for c in counts] * 2
+
+    def test_occupied_modes_hold_the_zero_mode(self):
+        modes, occ = fn.GirardParams(1.0, 32, 5.0, 1.0).occupied_modes()
+        np.testing.assert_array_equal(modes, [-1, 0, 1])
+        assert occ[1] == pytest.approx(1.0, rel=1e-12)
+        assert np.all(occ > 0.0)
+
     def test_zero_function(self):
         p = fn.GirardParams(1.0, 32, 10.0, 1.0)
         assert fn.girard_functional(F_ZERO, p) == 1.0 + 0.0j
@@ -522,12 +572,6 @@ class TestGirardFunctional:
         p = fn.GirardParams(1.0, 32, 200.0, 1.0)
         got = fn.girard_functional(F_PI_HALF, p)
         assert abs(got - 0.5) < 1e-3
-
-    def test_ordering_conventions_agree(self):
-        p = fn.GirardParams(1.0, 32, 200.0, 1.0)
-        right = fn.girard_functional(F_PI_HALF, p, ordering="occupation_right")
-        left = fn.girard_functional(F_PI_HALF, p, ordering="occupation_left")
-        assert abs(right - left) < 1e-12
 
     def test_truncation_converged(self):
         v32 = fn.girard_functional(F_PI_HALF, fn.GirardParams(1.0, 32, 10.0, 1.0))
@@ -547,11 +591,6 @@ class TestGirardFunctional:
         p = fn.GirardParams(4.0, 8, 3.0, 1.5)
         occ0 = 1.0 / math.expm1(p.beta * (0.0 - p.mu_chem))
         assert occ0 == pytest.approx(6.0, rel=1e-12)
-
-    def test_rejects_bad_ordering(self):
-        with pytest.raises(ValueError):
-            fn.girard_functional(F_ZERO, fn.GirardParams(1.0, 32, 10.0, 1.0),
-                                 ordering="sideways")
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
