@@ -391,9 +391,10 @@ def char_compound(f, mu_unit, xi):
     """Mixture int exp(rho * A) dxi(rho) with A = int (e^{if} - 1) dx.
 
     Closed forms for dirac and exponential mixing (the latter requires
-    rho_bar * Re A < 1, automatic here since Re A <= 0); Gauss-Hermite in
-    ln(rho) for lognormal (64 nodes, refined to 128 with adaptive fallback);
-    finite sum for discrete; the mixing-law panel rule for fractional.
+    rho_bar * Re A < 1, automatic here since Re A <= 0); one adaptive
+    quadrature in ln(rho) for lognormal, raising QuadratureError when its
+    error estimate exceeds 1e-8; finite sum for discrete; the mixing-law
+    panel rule for fractional.
     """
     if mu_unit.rho != 1.0:
         raise ValueError("char_compound requires a unit-intensity base measure")
@@ -406,12 +407,7 @@ def char_compound(f, mu_unit, xi):
             raise QuadratureError("exponential mixture diverges for rho_bar*Re A >= 1")
         return 1.0 / (1.0 - w)
     if xi.kind == "lognormal":
-        sigma = xi.params[0]
-        v64 = _lognormal_mixture(sigma, a, 64)
-        v128 = _lognormal_mixture(sigma, a, 128)
-        if abs(v64 - v128) <= 1e-9 * (1.0 + abs(v128)):
-            return v128
-        return _lognormal_mixture_adaptive(sigma, a)
+        return _lognormal_mixture(xi.params[0], a)
     if xi.kind == "discrete":
         atoms, weights = xi.params
         return sum(w * cmath.exp(rho * a) for rho, w in zip(atoms, weights))
@@ -419,22 +415,21 @@ def char_compound(f, mu_unit, xi):
     return complex((w * np.exp(taus * a)).sum())
 
 
-def _lognormal_mixture(sigma, a, n_nodes):
-    u, w = np.polynomial.hermite.hermgauss(n_nodes)
-    rho = np.exp(sigma * sigma + math.sqrt(2.0) * sigma * u)
-    return complex((w * np.exp(rho * a)).sum() / math.sqrt(math.pi))
-
-
-def _lognormal_mixture_adaptive(sigma, a):
+def _lognormal_mixture(sigma, a):
+    # E exp(rho a) for ln rho ~ N(sigma^2, sigma^2), i.e. rho = exp(sigma^2 +
+    # sqrt(2) sigma u) against exp(-u^2) / sqrt(pi), by adaptive quadrature in
+    # u; full_output keeps scipy's warnings off stderr, the error gate decides.
+    # rho stops at e^709, where it would overflow: exp(rho a) has underflowed
+    # there unless 0 < -Re a < 1e-305, and is 1 at a = 0 either way.
     def g(u, part):
-        rho = math.exp(sigma * sigma + math.sqrt(2.0) * sigma * u)
+        rho = math.exp(min(sigma * sigma + math.sqrt(2.0) * sigma * u, 709.0))
         val = cmath.exp(-u * u + rho * a)
         return val.real if part == 0 else val.imag
 
     out = 0.0j
     for part, unit in ((0, 1.0), (1, 1.0j)):
         val, err = integrate.quad(g, -12.0, 12.0, args=(part,), limit=300,
-                                  epsabs=1e-12, epsrel=1e-10)
+                                  epsabs=1e-12, epsrel=1e-10, full_output=1)[:2]
         if err > 1e-8:
             raise QuadratureError("lognormal mixture quadrature failed")
         out += unit * val

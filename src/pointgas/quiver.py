@@ -8,11 +8,11 @@ three layers:
   with exhaustive checks of the anticommutation relations, the
   current-operator commutator identities, and the directed-hop composition
   laws (`build_fermion_ops`, `current_ops`, `check_commutators`,
-  `check_composition`).  Every hop c†_b c_a maps a Fock basis state to at
-  most one basis state, so the two identity checks read each operator into
-  a column table (one weight per column, one fixed set of flipped bits) and
-  evaluate every product and residual by gathers over all site tuples of a
-  chunk at once, exactly in Gaussian-integer arithmetic;
+  `check_composition`).  Every c and c† flips exactly the Fock bit of its
+  own mode, so each is read into one (weights, masks) row; hops c†_b c_a
+  are products of those rows, and the CAR, commutator and composition
+  residuals share one gather over all site tuples of a chunk at once,
+  exact in Gaussian-integer arithmetic;
 * the 4x4 single-vertex representation of the directed hop maps
   (`vertex_matrices`);
 * a diagonal stationary energy on occupation patterns with exact ground
@@ -337,43 +337,33 @@ class FermionOps:
 
     @cached_property
     def _tables(self):
-        """Column tables (`_column_table`) of every c, then every cdag.
-
-        (target, weight), each of shape (2 n_modes, dim + 1): row x < n_modes
-        is c[x], row n_modes + x is cdag[x].
+        """Column tables (`_column_table`) of every c, then every cdag, then
+        the identity: (weights, masks) with row x < n_modes c[x], row
+        n_modes + x cdag[x] and row 2 n_modes the identity (mask 0).  Mode x
+        flips Fock bit 1 << (n_modes - 1 - x); mode 0 is the most
+        significant bit of the kron order.
         """
-        tables = [_column_table(op, self.dim) for op in self.c + self.cdag]
-        return np.array([t for t, _ in tables]), np.array([w for _, w in tables])
+        bits = 1 << (self.n_modes - 1 - np.arange(self.n_modes))
+        masks = np.concatenate((bits, bits, [0]))
+        ops = self.c + self.cdag + (sparse.identity(self.dim, format="csc"),)
+        return np.array([_column_table(op, self.dim, m) for op, m in zip(ops, masks)]), masks
 
     def car_residual(self) -> float:
         """Worst Frobenius deviation from the canonical anticommutation relations.
 
-        Evaluated on the column tables of c and cdag: stacked c first, the
-        pairs (c_i, c_j) and (cdag_i, cdag_j) with i <= j and (c_i, cdag_j)
-        are exactly the pairs x <= y of rows.  Each anticommutator XY + YX,
-        minus the identity when Y is X's adjoint, has at most three entries
-        per column, added up by their target row.  Weights are small
-        integers here, so every norm is exact.  Raises ValueError for an
-        operator with more than one entry in a column.
+        Stacked c first, the pairs (c_i, c_j) and (cdag_i, cdag_j) with i <= j
+        and (c_i, cdag_j) are exactly the pairs x <= y of rows of `_tables`.
+        Each anticommutator XY + YX, minus the identity row when Y is X's
+        adjoint, is one sum of `_worst_residual`, exact in small integers.
+        Raises ValueError for an operator with more than one entry in a
+        column, or one that moves bits other than its mode's (only a
+        hand-built FermionOps can hold either).
         """
-        target, weight = self._tables
-        dim, n_ops = self.dim, 2 * self.n_modes
-        cols = np.arange(dim)
-        worst = 0.0
-        for x in range(n_ops):
-            ys = np.arange(x, n_ops)[:, None]
-            tx, wx = target[x, :dim], weight[x, :dim]
-            ty, wy = target[ys, cols], weight[ys, cols]
-            diagonal = np.broadcast_to(cols, ty.shape)
-            rows = np.concatenate((target[x][ty], target[ys, tx], diagonal), axis=1)
-            eye = np.broadcast_to(-1.0 * (ys == x + self.n_modes), ty.shape)
-            vals = np.concatenate((weight[x][ty] * wy, weight[ys, tx] * wx, eye), axis=1)
-            keys = (rows + (dim + 1) * np.arange(ys.size)[:, None]).ravel()
-            size = ys.size * (dim + 1)
-            re = np.bincount(keys, vals.real.ravel(), size)
-            im = np.bincount(keys, vals.imag.ravel(), size)
-            worst = max(worst, float((re ** 2 + im ** 2).reshape(ys.size, -1).sum(axis=1).max()))
-        return math.sqrt(worst)
+        weights, masks = self._tables
+        x, y = np.triu_indices(2 * self.n_modes)
+        eye = np.full(x.size, 2 * self.n_modes)
+        return _worst_residual(masks, [(1, weights, x, weights, y), (1, weights, y, weights, x)],
+                               [(-1 * (y == x + self.n_modes), weights, eye)])
 
 
 def build_fermion_ops(lattice: Lattice) -> FermionOps:
@@ -444,12 +434,12 @@ class AlgebraReport:
     n_checks: int
 
 
-def _column_table(op, dim: int):
-    """(target, weight) arrays of an operator with at most one entry per column.
+def _column_table(op, dim: int, mask: int):
+    """Weights of an operator whose column col holds at most one entry, in
+    Fock row col ^ mask.
 
-    Column col maps to row target[col] with weight[col]; index dim is a sink
-    (target dim, weight 0) that also stands for every empty column, so that
-    tables compose by gathers.
+    Raises ValueError for a column with more than one entry, or with its
+    entry in any other row.
     """
     csc = sparse.csc_matrix(op)
     csc.sum_duplicates()
@@ -458,11 +448,11 @@ def _column_table(op, dim: int):
     if counts.max(initial=0) > 1:
         raise ValueError("operator has more than one entry in a column")
     cols = np.flatnonzero(counts)
-    target = np.full(dim + 1, dim)
-    weight = np.zeros(dim + 1, dtype=complex)
-    target[cols] = csc.indices[csc.indptr[cols]]
+    if np.any(csc.indices[csc.indptr[cols]] != cols ^ mask):
+        raise ValueError("operator does not move exactly the bits of its modes")
+    weight = np.zeros(dim, dtype=complex)
     weight[cols] = csc.data[csc.indptr[cols]]
-    return target, weight
+    return weight
 
 
 def _hop_tables(ops: FermionOps):
@@ -470,29 +460,16 @@ def _hop_tables(ops: FermionOps):
 
     Returns (weights, masks), flattened over (spin, a, b) at row
     (s * n + a) * n + b: column col of the hop holds weights[row, col] in
-    Fock row col ^ masks[row].  Each hop is one gather of the column tables
-    of c_a and cdag_b.  Its mask is the XOR of the Fock bits of its two
-    modes (mode 0 is the most significant bit of the kron order), 0 when
-    a == b; a ValueError is raised when some column of a hop moves other
-    bits.
+    Fock row col ^ masks[row].  c_a sends column col to col ^ mask(c_a),
+    where cdag_b reads it, so all hops are one gather of `FermionOps._tables`;
+    a hop's mask is the XOR of its two modes' bits, 0 when a == b.
     """
     n = ops.lattice.n_sites
-    targets, op_weights = ops._tables
+    tables, masks = ops._tables
+    s, a, b = np.indices((2, n, n)).reshape(3, -1)
+    ma, mb = 2 * a + s, ops.n_modes + 2 * b + s
     cols = np.arange(ops.dim)
-    weights = np.zeros((2 * n * n, ops.dim), dtype=complex)
-    masks = np.zeros(2 * n * n, dtype=np.intp)
-    for row, (s, a, b) in enumerate(np.ndindex(2, n, n)):
-        ma, mb = ops.mode(a, s), ops.mode(b, s)
-        mask = (1 << (ops.n_modes - 1 - ma)) ^ (1 << (ops.n_modes - 1 - mb))
-        target_a, weight_a = targets[ma], op_weights[ma]
-        target_b, weight_b = targets[ops.n_modes + mb], op_weights[ops.n_modes + mb]
-        weight = (weight_b[target_a] * weight_a)[:ops.dim]
-        moved = weight != 0
-        if np.any(target_b[target_a][:ops.dim][moved] != cols[moved] ^ mask):
-            raise ValueError(f"hop ({s}, {a}, {b}) does not move exactly the bits of its modes")
-        weights[row] = weight
-        masks[row] = mask
-    return weights, masks
+    return tables[mb[:, None], cols ^ masks[ma, None]] * tables[ma], masks[ma] ^ masks[mb]
 
 
 def _worst_residual(masks, products, singles) -> float:
@@ -500,12 +477,12 @@ def _worst_residual(masks, products, singles) -> float:
 
     The sum is, per tuple t, sum(sign X[ix[t]] Y[iy[t]]) over `products`
     (sign, X, ix, Y, iy) plus sum(coef[t] Z[iz[t]]) over `singles`
-    (coef, Z, iz); tables are rows of hop-shaped tables sharing `masks`.
-    Column col of XY holds X[col ^ mask(Y)] Y[col].  Every term of an
-    identity below moves the same bits (a Kronecker delta removes two equal
-    mode bits from the XOR), so the terms add column by column.  Weights are
-    small Gaussian integers, so every sum, and the largest squared norm, is
-    exact.
+    (coef, Z, iz); X, Y and Z are column tables sharing `masks`.  Column
+    col of XY holds X[col ^ mask(Y)] Y[col].  Every term with a nonzero
+    coefficient in the identities checked here moves the same bits (a
+    Kronecker delta removes two equal mode bits from the XOR), so the terms
+    add column by column.  Weights are small Gaussian integers, so every
+    sum, and the largest squared norm, is exact.
     """
     n_tuples = len(products[0][2])
     cols = np.arange(products[0][1].shape[1])

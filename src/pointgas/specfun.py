@@ -3,9 +3,9 @@
 Polylogarithms of order 1/2, 3/2, 5/2 on [0, 1]; a frozen table of Riemann
 zeta values feeding the near-unit expansion; the Mittag-Leffler function
 E_alpha on the left half-plane and its derivatives on the negative real
-axis; the one-sided alpha-stable density, the heavy-tailed mixing law it
-induces (density, quadrature rule, exact sampler); and the lognormal
-intensity profile.
+axis; the heavy-tailed mixing law nu_alpha (density, quadrature rule, exact
+sampler) and the one-sided alpha-stable density read from it by a change of
+variables; and the lognormal intensity profile.
 
 Everything here is a pure function of its arguments; the sampler is a pure
 function of the generator state.
@@ -19,7 +19,6 @@ import sys
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln, logsumexp, roots_legendre
 
 __all__ = [
@@ -269,38 +268,25 @@ def _tilt(phi, alpha):
 
 def stable_density(alpha, tau):
     """Density f_alpha(tau) of the one-sided alpha-stable law with Laplace
-    transform exp(-t^alpha), via the single-integral representation
+    transform exp(-t^alpha), as the change of variables of the mixing law
+    (nu_alpha is the law of S^(-alpha)):
 
-        f(tau) = a/((1-a) pi) tau^(-1/(1-a)) int_0^pi A(phi) e^(-A(phi) c) dphi
+        f(tau) = alpha tau^(-alpha-1) nu_alpha(tau^(-alpha)),
 
-    with c = tau^(-a/(1-a)). Rejects alpha = 1 (degenerate point mass).
+    with nu_alpha from the array evaluator behind mixing_pdf. It is exactly
+    0.0 where nu_alpha underflows (tau -> 0), and follows the power tail
+    alpha tau^(-alpha-1) / Gamma(1-alpha) out to where it underflows too.
+    Rejects alpha = 1 (degenerate point mass).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"stable_density requires 0 < alpha < 1, got {alpha!r}")
     if tau <= 0.0:
         raise ValueError(f"stable_density requires tau > 0, got {tau!r}")
-    r = alpha / (1.0 - alpha)
-    c = tau ** (-r)
-    a0 = (1.0 - alpha) * alpha ** r
-    if c * a0 > 745.0:
-        return 0.0  # integrand underflows everywhere on (0, pi)
-
-    def integrand(phi):
-        a = _tilt(phi, alpha)
-        if not math.isfinite(a) or c * a > 745.0:
-            return 0.0
-        return a * math.exp(-c * a)
-
-    pts = None
-    if c < 1.0:
-        # boundary layer at phi -> pi where A(phi) ~ C (pi-phi)^(-1/(1-alpha))
-        cpi = math.sin((1.0 - alpha) * math.pi) * math.sin(alpha * math.pi) ** r
-        psi = (cpi * c) ** (1.0 - alpha)
-        if psi < math.pi / 2.0:
-            pts = [math.pi - 3.0 * psi, math.pi - psi]
-    val, _ = integrate.quad(integrand, 0.0, math.pi, points=pts,
-                            limit=400, epsabs=1e-300, epsrel=1e-10)
-    return alpha / ((1.0 - alpha) * math.pi) * tau ** (-1.0 / (1.0 - alpha)) * val
+    with np.errstate(over="ignore"):
+        x = np.float64(tau) ** -alpha  # inf at subnormal tau when alpha is near 1
+    nu = _mixing_pdf_many(alpha, np.array([x]))[0]
+    # x * nu first: x / tau overflows at tiny tau, where nu is 0
+    return float(alpha * (x * nu) / tau) if nu > 0.0 else 0.0
 
 
 def mixing_pdf(alpha, tau):
@@ -363,7 +349,7 @@ def _mixing_series(alpha, taus):
 
 def _mixing_pdf_many(alpha, taus):
     # density at an array of positive taus: the series where it is accepted,
-    # elsewhere the Zolotarev/Kanter integral through the stable density
+    # elsewhere the Zolotarev/Kanter single integral over the tilt
     taus = np.asarray(taus, dtype=float)
     out, series_ok = _mixing_series(alpha, taus)
     rest = np.flatnonzero(~series_ok)

@@ -3,6 +3,7 @@ functional and the ground-state potential map."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,19 +247,37 @@ class TestCharCompound:
         ref = 0.3 * cmath.exp(0.5 * A_PHASE) + 0.7 * cmath.exp(2.0 * A_PHASE)
         assert abs(got - ref) < 1e-14
 
+    @staticmethod
+    def lognormal_trapezoid(sigma, a):
+        # E exp(rho a), rho = exp(sigma^2 + sqrt(2) sigma u), against
+        # exp(-u^2) / sqrt(pi): a 400,001-node trapezoid in u on [-12, 12]
+        u = np.linspace(-12.0, 12.0, 400_001)
+        rho = np.exp(sigma * sigma + math.sqrt(2.0) * sigma * u)
+        g = np.exp(-u * u + rho * a)
+        return complex((g.sum() - 0.5 * (g[0] + g[-1])) * (u[1] - u[0]) / math.sqrt(math.pi))
+
     def test_lognormal_vs_direct_quadrature(self):
         sigma = 0.8
         got = fn.char_compound(F_PHASE, unit_measure(), fn.MixingMeasure.lognormal(sigma))
+        assert abs(got - self.lognormal_trapezoid(sigma, A_PHASE)) < 1e-9
 
-        def g(u, part):
-            rho = math.exp(sigma * sigma + math.sqrt(2.0) * sigma * u)
-            val = cmath.exp(-u * u + rho * A_PHASE)
-            return val.real if part == 0 else val.imag
-
-        ref = complex(integrate.quad(g, -12.0, 12.0, args=(0,), limit=300)[0],
-                      integrate.quad(g, -12.0, 12.0, args=(1,), limit=300)[0])
-        ref /= math.sqrt(math.pi)
+    def test_lognormal_wide_mixing_without_warnings(self):
+        # A = 20 (e^{0.01i} - 1): a weak phase over a long box
+        f = fn.TestFunction(
+            ({"shape": "indicator", "center": (10.0,), "width": 20.0, "amplitude": 0.01},))
+        mu = fn.IntensityMeasure(fn.Box((20.0,)), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fn.char_compound(f, mu, fn.MixingMeasure.lognormal(2.0))
+        ref = self.lognormal_trapezoid(2.0, 20.0 * (cmath.exp(0.01j) - 1.0))
         assert abs(got - ref) < 1e-9
+
+    def test_lognormal_width_past_rho_overflow(self):
+        # at sigma = 25 almost every rho exceeds e^709: the mixture of
+        # exp(rho A) is ~0 for A != 0 and exactly 1 for A = 0
+        xi = fn.MixingMeasure.lognormal(25.0)
+        assert abs(fn.char_compound(F_PHASE, unit_measure(), xi)) < 1e-12
+        assert abs(fn.char_compound(F_ZERO, unit_measure(), xi) - 1.0) < 1e-12
 
     def test_requires_unit_intensity(self):
         with pytest.raises(ValueError):

@@ -361,7 +361,7 @@ def sparse_car_residual(ops):
 
 
 class TestAlgebraTables:
-    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2)])
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (2, 3)])
     def test_car_residual_matches_sparse_products(self, shape):
         lat = q.Lattice(*shape, "open")
         for build in (q.build_fermion_ops, hard_core_boson_ops):
@@ -414,8 +414,11 @@ class TestAlgebraTables:
             return q.FermionOps(lattice=lattice, c=corrupt(ops.c), cdag=ops.cdag, dim=ops.dim)
 
         monkeypatch.setattr(q, "build_fermion_ops", corrupted)
-        with pytest.raises(ValueError, match=message):
-            q.check_commutators(q.Lattice(2, 1, "open"))
+        lat = q.Lattice(2, 1, "open")
+        for check in (q.check_commutators, q.check_composition,
+                      lambda lattice: q.build_fermion_ops(lattice).car_residual()):
+            with pytest.raises(ValueError, match=message):
+                check(lat)
 
 
 class TestCheckComposition:

@@ -7,6 +7,7 @@ expansion where the series is infeasible) and frozen here as literals.
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,33 @@ STABLE_ORACLE = [
     (0.7, 3.0, 0.05000090402022237),
     (0.8, 1.5, 0.20408585074086313),
 ]
+
+
+def quad_stable_density(alpha, tau):
+    """Independent oracle for the stable density: Zolotarev's single
+    integral f(tau) = a/((1-a) pi) tau^(-1/(1-a)) int_0^pi A e^(-A c) dphi,
+    with A the Kanter tilt and c = tau^(-a/(1-a)), by adaptive quadrature."""
+    r = alpha / (1.0 - alpha)
+    c = tau ** (-r)
+    if c * (1.0 - alpha) * alpha ** r > 745.0:
+        return 0.0
+
+    def integrand(phi):
+        a = sf._tilt(phi, alpha)
+        if not math.isfinite(a) or c * a > 745.0:
+            return 0.0
+        return a * math.exp(-c * a)
+
+    pts = None
+    if c < 1.0:
+        # boundary layer at phi -> pi where A(phi) ~ C (pi-phi)^(-1/(1-alpha))
+        cpi = math.sin((1.0 - alpha) * math.pi) * math.sin(alpha * math.pi) ** r
+        psi = (cpi * c) ** (1.0 - alpha)
+        if psi < math.pi / 2.0:
+            pts = [math.pi - 3.0 * psi, math.pi - psi]
+    val, _ = integrate.quad(integrand, 0.0, math.pi, points=pts,
+                            limit=400, epsabs=1e-300, epsrel=1e-10)
+    return alpha / ((1.0 - alpha) * math.pi) * tau ** (-1.0 / (1.0 - alpha)) * val
 
 
 class TestZetaTable:
@@ -285,6 +313,33 @@ class TestStableDensity:
                                 0.0, 80.0, limit=300)
         assert abs(val - math.exp(-t ** alpha)) < 1e-5
 
+    @pytest.mark.parametrize("alpha,tau,want", [
+        (0.5, 1e100, 1e-150 / (2.0 * math.sqrt(math.pi))),  # the closed form
+        (0.9, 4406.236427773573, 1.1286290687157619e-08),  # 80-digit series
+    ])
+    def test_tail_values(self, alpha, tau, want):
+        assert sf.stable_density(alpha, tau) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha,tau,rel", [(0.9, 1e100, 1e-12), (0.99, 1e5, 1e-4)])
+    def test_power_tail(self, alpha, tau, rel):
+        # f(tau) ~ Gamma(1+alpha) sin(pi alpha) / pi * tau^(-1-alpha)
+        lead = math.gamma(1.0 + alpha) * math.sin(math.pi * alpha) / math.pi
+        assert sf.stable_density(alpha, tau) == pytest.approx(lead * tau ** (-1.0 - alpha),
+                                                             rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.9, 0.99])
+    @pytest.mark.parametrize("tau", [1e-300, 1e-5])
+    def test_vanishes_at_small_tau(self, alpha, tau):
+        assert sf.stable_density(alpha, tau) == 0.0
+
+    def test_extreme_arguments_finite_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha in (0.1, 0.5, 0.9, 0.99):
+                for tau in (5e-324, 1e-300, 1e-30, 1e-5, 1e-2, 1e5, 1e100, 1e300):
+                    val = sf.stable_density(alpha, tau)
+                    assert math.isfinite(val) and val >= 0.0
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             sf.stable_density(1.0, 1.0)
@@ -302,13 +357,13 @@ class TestMixingLaw:
 
     def test_vectorized_matches_scalar(self):
         # the array evaluator's integral branch against the change of
-        # variables tau -> tau^(-1/alpha) through the scalar stable density
+        # variables tau -> tau^(-1/alpha) through the quadrature oracle
         taus = np.linspace(0.05, 8.0, 40)
         for alpha, n_integral in ((0.25, 7), (0.5, 16), (0.9, 32)):
             vec = sf._mixing_pdf_many(alpha, taus)
             integral = ~sf._mixing_series(alpha, taus)[1]
             assert integral.sum() == n_integral
-            ref = np.array([sf.stable_density(alpha, x ** (-1.0 / alpha))
+            ref = np.array([quad_stable_density(alpha, x ** (-1.0 / alpha))
                             * x ** (-1.0 - 1.0 / alpha) / alpha for x in taus[integral]])
             np.testing.assert_allclose(vec[integral], ref, rtol=1e-11, atol=1e-250)
 
