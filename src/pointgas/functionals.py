@@ -589,10 +589,11 @@ def _field_axes(f, grid):
 
 
 def _w_analytic(f, mesh):
-    # inf/nan on the pair-coincidence set is expected and masked downstream
+    # inf/nan on the pair-coincidence set is expected and masked downstream;
+    # overflow on a huge grid is left to the callers' finiteness checks
     n = f.n_particles
     w = np.zeros_like(mesh[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(n):
             for j in range(i + 1, n):
                 diff = mesh[i] - mesh[j]
@@ -604,10 +605,10 @@ def _w_analytic(f, mesh):
 
 def _potential_analytic(f, mesh):
     n = f.n_particles
-    s = sum(mesh)
     lap = 2.0 * f.omega * n * (n - 1)
     grad_sq = np.zeros_like(mesh[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = sum(mesh)
         for kk in range(n):
             g = 2.0 * f.omega * (n * mesh[kk] - s)
             if f.w_kind == "calogero":

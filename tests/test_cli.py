@@ -175,6 +175,8 @@ class TestWriteCsv:
     def test_columns_match_rowwise_cells(self):
         floats = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-300, 5e-324, 0.1, -2.5e17]
         n = len(floats)
+        read_only = np.array(floats[3:] + floats[:3])
+        read_only.flags.writeable = False
         table = {
             "f_array": np.array(floats),
             "f_list": floats[::-1],
@@ -184,6 +186,15 @@ class TestWriteCsv:
             "s": ["open", "periodic", "", "u.d2", "a b", "x", "y", "z", "w"],
             "mixed": [1, 2.0, "two", np.float64(0.3), np.int32(-4), np.float32(0.1),
                       np.uint8(255), None, 1 + 2j],
+            "f_big_endian": np.array(floats, dtype=">f8"),
+            "f_strided": np.array(floats * 2)[::2],
+            "f_read_only": read_only,
+            "f16": np.array([0.1, -0.0, 0.0, 65504.0, 6e-08, 1 / 3, -2.5, math.inf, math.nan],
+                            dtype=np.float16),
+            # -0.0 and 0.0 twice, NaNs of either sign, quiet and signalling payloads
+            "zeros_nans": np.array([1 << 63, 0, 0x7FF8000000000000, 0xFFF8000000000000,
+                                    0x7FF0000000000001, 1 << 63, 0, 0xFFF0000000000002,
+                                    0x7FF8000000000000], dtype=np.uint64).view(np.float64),
         }
         rows = [{col: vals[i] for col, vals in table.items()} for i in range(n)]
         text = cli._write_csv(table)
@@ -210,6 +221,22 @@ class TestWriteCsv:
         assert code == 0
         digest = hashlib.sha256((out / "potential.csv").read_bytes()).hexdigest()
         assert digest == "9a5e08dab83b75cda18b7520195979e82733143da61ba51bd921f9fbf552752e"
+
+    def test_each_distinct_float_formatted_once(self, tmp_path, monkeypatch):
+        calls = 0
+
+        def counting_repr(val):
+            nonlocal calls
+            calls += 1
+            return repr(val)
+
+        # the module global shadows the builtin inside cli
+        monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+        code, _ = run_cli(tmp_path, "ground-potential", "n_particles=3", "points=41",
+                          "kind=calogero")
+        assert code == 0
+        # 41 distinct values in each mesh column, 2,232 in v; 275,684 cells
+        assert 0 < calls <= 41 * 3 + 2232
 
 
 class TestExitCodes:
@@ -648,6 +675,8 @@ class TestQuiverGround:
     ("ground-potential", "n_particles=2", "kind=calogero", "lam=1e300"),
     ("ground-potential", "n_particles=3", "kind=harmonic", "omega=1e300"),
     ("bec-curve", "sigmas=0", "tmin=1", "tmax=1e300", "steps=2"),
+    ("ground-potential", "lo=-1e200", "hi=1e200"),
+    ("ground-potential", "lo=-1e308", "hi=1e307", "n_particles=3"),
 ])
 def test_expected_overflow_prints_only_the_error_line(tmp_path, capsys, argv):
     # a warning would reach stderr ahead of the error line in a plain process
@@ -696,6 +725,12 @@ class TestGroundPotential:
         code, _ = run_cli(tmp_path, "ground-potential", "n_particles=3",
                           "points=101")
         assert code == 2
+
+    def test_overflowing_span_exits_2_without_outputs(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "ground-potential", "lo=-1e308", "hi=1e308")
+        assert code == 2
+        assert not list(out.iterdir())
+        assert capsys.readouterr().err == "error: hi - lo must be finite\n"
 
 
 def tree_bytes(root):
