@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
 
 from . import bec, functionals, quiver, specfun
 
@@ -348,9 +347,10 @@ _GIRARD_MODES_MAX = 1500
 # ml-weights n_max: the (mixing nodes, n_max + 1) Poisson table peaks at
 # about 225 MB for alpha = 0.01, the rule with the most nodes (2376).
 _ML_WEIGHTS_N_MAX = 4096
-# sample-measure n_samples: counts, mixing draws and MC values take about
-# 54 bytes a sample; 4,000,000 fractional samples run in about 3.5 s and peak
-# at about 287 MB above a bare interpreter, 217 MB above the library import.
+# sample-measure n_samples: the MC values and their spread take about 40
+# bytes a sample (the count histogram is read off the sampled chunks);
+# 4,000,000 fractional samples run in about 2.3 s and peak at about 228 MB
+# above a bare interpreter, 160 MB above the library import.
 _SAMPLE_N_MAX = 4_000_000
 # bec-curve solve cells over 64, steps x sigmas x max(n_nodes, 64) / 64: one
 # sigma at 20000 steps of 64 nodes peaks at about 180 MB, mostly the solve.
@@ -388,16 +388,9 @@ def _cmd_ml_weights(cfg):
 
 def _exp_mixture_quad(a, rho_bar):
     # E[exp(rho*A)] against the exponential mixing law, as a plain integral
-    def dens(r):
-        return math.exp(-r / rho_bar) / rho_bar
-
-    re_val, _ = integrate.quad(
-        lambda r: math.exp(r * a.real) * math.cos(r * a.imag) * dens(r),
-        0.0, np.inf, limit=200)
-    im_val, _ = integrate.quad(
-        lambda r: math.exp(r * a.real) * math.sin(r * a.imag) * dens(r),
-        0.0, np.inf, limit=200)
-    return complex(re_val, im_val)
+    return functionals._complex_quad(
+        lambda r: cmath.exp(r * (a - 1.0 / rho_bar)) / rho_bar, [(0.0, math.inf)],
+        [{"limit": 200}], 1e-7, "exponential mixture quadrature")
 
 
 def _cmd_functional_check(cfg):
@@ -447,17 +440,15 @@ def _cmd_sample_measure(cfg):
     p = cfg.parameters
     if p["n_samples"] > _SAMPLE_N_MAX:
         raise ValueError(f"n_samples must not exceed {_SAMPLE_N_MAX}: the sample "
-                         f"arrays would need more than about 215 MB")
+                         f"arrays would need more than about 160 MB")
     if not 0.0 < p["width"] <= p["side"]:
         raise ValueError("width must lie in (0, side]")
     box = functionals.Box((p["side"],))
     mu = functionals.IntensityMeasure(box, p["rho"])
     f = _indicator(p["amp"], p["width"])
-    mc_rng, count_rng = np.random.default_rng(cfg.seed).spawn(2)
     if p["kind"] == "poisson":
         exact = functionals.char_poisson(f, mu)
         sampler = lambda r, n: functionals.sample_poisson_config(mu, r, size=n)
-        counts = count_rng.poisson(mu.mass, size=p["n_samples"])
         order = 1.0
     else:
         # the cached rule that weights_fractional reads below rejects an order
@@ -466,15 +457,22 @@ def _cmd_sample_measure(cfg):
         exact = functionals.char_fractional(f, mu, p["alpha"])
         sampler = lambda r, n: functionals.sample_fractional_config(
             mu, p["alpha"], r, size=n)
-        taus = specfun.sample_mixing_tau(p["alpha"], count_rng, size=p["n_samples"])
-        counts = count_rng.poisson(taus * mu.mass)
         order = p["alpha"]
-    est, stderr = functionals.mc_char(f, sampler, p["n_samples"], mc_rng)
+    # the count histogram (counts above 60 pooled) is read off the Monte
+    # Carlo sample itself, chunk by chunk
+    hist = np.zeros(61, dtype=np.int64)
 
-    n_hist = min(int(counts.max()), 60)
+    def counted(r, n):
+        counts, pts = sampler(r, n)
+        np.add(hist, np.bincount(np.minimum(counts, 60), minlength=61), out=hist)
+        return counts, pts
+
+    est, stderr = functionals.mc_char(
+        f, counted, p["n_samples"], np.random.default_rng(cfg.seed).spawn(1)[0])
+
+    n_hist = int(np.flatnonzero(hist)[-1])
     model = functionals.weights_fractional(order, mu.mass, n_hist)
-    freq = np.bincount(np.minimum(counts, n_hist), minlength=n_hist + 1)
-    table = {"count": np.arange(n_hist), "observed": freq[:n_hist] / p["n_samples"],
+    table = {"count": np.arange(n_hist), "observed": hist[:n_hist] / p["n_samples"],
              "expected": model[:n_hist]}
     abs_err = abs(est - exact)
     report = {
@@ -650,10 +648,10 @@ def _cmd_ground_potential(cfg):
         p["n_particles"], p["kind"], omega=p["omega"], lam=p["lam"])
     grid = np.linspace(p["lo"], p["hi"], p["points"])
     v = functionals.ground_state_potential(field, grid)
-    resid = functionals.residual_check(field, grid, exclusion_cells=p["exclusion"])
     finite = v[np.isfinite(v)]
     if not finite.size:
         raise RuntimeError("the potential has no finite value on the grid")
+    resid = functionals.residual_check(field, grid, exclusion_cells=p["exclusion"])
     mesh = np.meshgrid(*([grid] * p["n_particles"]), indexing="ij")
     table = {f"x{i + 1}": m.ravel() for i, m in enumerate(mesh)}
     table["v"] = v.ravel()

@@ -328,44 +328,44 @@ def _quadrature_points(f, box, d):
     return sorted(pts)
 
 
+def _complex_quad(g, ranges, opts, gate, what):
+    """int g over the box ranges, one (lo, hi) per argument of the complex
+    integrand g: nquad on its real part, then on its imaginary part, with
+    opts the quad options of each axis. full_output keeps scipy's warnings
+    off stderr; the worst error estimate decides, and above gate it raises
+    QuadratureError naming what."""
+    re, re_err, _ = integrate.nquad(lambda *x: g(*x).real, ranges, opts=opts,
+                                    full_output=True)
+    im, im_err, _ = integrate.nquad(lambda *x: g(*x).imag, ranges, opts=opts,
+                                    full_output=True)
+    err = max(re_err, im_err)
+    if not err <= gate:
+        raise QuadratureError(f"{what} failed to converge (error estimate {err:.2e})")
+    return complex(re, im)
+
+
 def field_integral(f, box):
     """int_box (e^{i f(x)} - 1) dx, exact for indicator-only test functions,
-    adaptive quadrature (absolute tolerance ~1e-10) otherwise."""
+    adaptive quadrature (absolute tolerance ~1e-10, QuadratureError above an
+    error estimate of 1e-7) otherwise."""
     if not isinstance(f, TestFunction):
         raise TypeError("f must be a TestFunction")
     if not f.terms:
         return 0.0j
     if f.indicator_only:
         return _indicator_integral(f, box)
-    if box.dim == 1:
-        pts = _quadrature_points(f, box, 0)
+    opts = []
+    for d in range(box.dim):
+        opt = {"limit": 300, "epsabs": 1e-12, "epsrel": 1e-11}
+        pts = _quadrature_points(f, box, d)
+        if pts:  # nquad filters points as a list, so None cannot stand for none
+            opt["points"] = pts
+        opts.append(opt)
 
-        def g(x, part):
-            val = cmath.exp(1j * float(f(np.array([[x]]))[0])) - 1.0
-            return val.real if part == 0 else val.imag
-
-        out = 0.0j
-        for part, unit in ((0, 1.0), (1, 1.0j)):
-            val, err = integrate.quad(g, 0.0, box.sides[0], args=(part,),
-                                      points=pts or None, limit=300,
-                                      epsabs=1e-12, epsrel=1e-11)
-            if err > 1e-7:
-                raise QuadratureError(
-                    f"field integral failed to converge (error estimate {err:.2e})")
-            out += unit * val
-        return out
-    ranges = [(0.0, s) for s in box.sides]
-    opts = [{"points": _quadrature_points(f, box, d), "limit": 200}
-            for d in range(box.dim)]
-
-    def gnd(*xs):
+    def g(*xs):
         return cmath.exp(1j * float(f(np.array([xs]))[0])) - 1.0
 
-    re, re_err = integrate.nquad(lambda *xs: gnd(*xs).real, ranges, opts=opts)
-    im, im_err = integrate.nquad(lambda *xs: gnd(*xs).imag, ranges, opts=opts)
-    if max(re_err, im_err) > 1e-7:
-        raise QuadratureError("field integral failed to converge")
-    return complex(re, im)
+    return _complex_quad(g, [(0.0, s) for s in box.sides], opts, 1e-7, "field integral")
 
 
 # ---------------------------------------------------------------------------
@@ -417,23 +417,16 @@ def char_compound(f, mu_unit, xi):
 
 def _lognormal_mixture(sigma, a):
     # E exp(rho a) for ln rho ~ N(sigma^2, sigma^2), i.e. rho = exp(sigma^2 +
-    # sqrt(2) sigma u) against exp(-u^2) / sqrt(pi), by adaptive quadrature in
-    # u; full_output keeps scipy's warnings off stderr, the error gate decides.
+    # sqrt(2) sigma u) against exp(-u^2) / sqrt(pi), by adaptive quadrature in u.
     # rho stops at e^709, where it would overflow: exp(rho a) has underflowed
     # there unless 0 < -Re a < 1e-305, and is 1 at a = 0 either way.
-    def g(u, part):
+    def g(u):
         rho = math.exp(min(sigma * sigma + math.sqrt(2.0) * sigma * u, 709.0))
-        val = cmath.exp(-u * u + rho * a)
-        return val.real if part == 0 else val.imag
+        return cmath.exp(-u * u + rho * a)
 
-    out = 0.0j
-    for part, unit in ((0, 1.0), (1, 1.0j)):
-        val, err = integrate.quad(g, -12.0, 12.0, args=(part,), limit=300,
-                                  epsabs=1e-12, epsrel=1e-10, full_output=1)[:2]
-        if err > 1e-8:
-            raise QuadratureError("lognormal mixture quadrature failed")
-        out += unit * val
-    return out / math.sqrt(math.pi)
+    opts = [{"limit": 300, "epsabs": 1e-12, "epsrel": 1e-10}]
+    val = _complex_quad(g, [(-12.0, 12.0)], opts, 1e-8, "lognormal mixture quadrature")
+    return val / math.sqrt(math.pi)
 
 
 def char_fractional(f, mu, alpha):
@@ -655,7 +648,7 @@ def residual_check(f, grid, exclusion_cells=3):
     """Relative residual ||(-Lap + V) exp(-W)|| / ||exp(-W)|| on the grid
     interior, with the pair-coincidence set excluded by a margin of
     exclusion_cells grid cells for log-singular fields. Raises RuntimeError
-    when no grid point is left to measure."""
+    when no grid point is left to measure or the residual is not finite."""
     axes = _field_axes(f, grid)
     steps = []
     for ax in axes:
@@ -666,9 +659,10 @@ def residual_check(f, grid, exclusion_cells=3):
     mesh = np.meshgrid(*axes, indexing="ij")
     if f.w_kind == "custom":
         w = np.asarray(f.w_values, dtype=float)
+        v = _potential_custom(f, axes)
     else:
         w = _w_analytic(f, mesh)
-    v = ground_state_potential(f, grid)
+        v = _potential_analytic(f, mesh)
     with np.errstate(over="ignore", invalid="ignore"):
         omega_arr = np.exp(-w)
         lap = np.zeros_like(omega_arr)
@@ -683,14 +677,8 @@ def residual_check(f, grid, exclusion_cells=3):
                        + omega_arr[tuple(sl_dn)]) / (h * h)
             pad = [(1, 1) if j == i else (0, 0) for j in range(omega_arr.ndim)]
             lap = lap + np.pad(contrib, pad)
-    interior = np.ones(omega_arr.shape, dtype=bool)
-    for i in range(omega_arr.ndim):
-        sl_lo = [slice(None)] * omega_arr.ndim
-        sl_hi = [slice(None)] * omega_arr.ndim
-        sl_lo[i] = slice(0, 1)
-        sl_hi[i] = slice(-1, None)
-        interior[tuple(sl_lo)] = False
-        interior[tuple(sl_hi)] = False
+    interior = np.zeros(omega_arr.shape, dtype=bool)
+    interior[(slice(1, -1),) * omega_arr.ndim] = True
     if f.w_kind == "calogero":
         margin = exclusion_cells * max(steps)
         for i in range(f.n_particles):
@@ -702,4 +690,8 @@ def residual_check(f, grid, exclusion_cells=3):
                            "and outside the pair-exclusion margin")
     with np.errstate(invalid="ignore", over="ignore"):
         residual = (-lap + v * omega_arr)[interior]
-        return float(np.linalg.norm(residual) / np.linalg.norm(omega_arr[interior]))
+        out = float(np.linalg.norm(residual) / np.linalg.norm(omega_arr[interior]))
+    if not math.isfinite(out):
+        raise RuntimeError("residual_check: the residual is not finite (the field "
+                           "or the potential overflows on this grid)")
+    return out

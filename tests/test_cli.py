@@ -299,6 +299,22 @@ class TestExitCodes:
         assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("functional-check", "rho_bar=0"), "rho_bar must be positive"),
+    (("girard-limit", "width=2"), "width must lie in (0, length]"),
+    (("bec-curve", "sigmas=-0.1"), "sigmas must be nonnegative"),
+    (("ground-potential", "n_particles=4"), "n_particles must lie in [1, 3]"),
+    (("ground-potential", "points=4"), "points must be at least 5"),
+    (("ground-potential", "lo=1", "hi=0"), "need lo < hi"),
+    (("ground-potential", "omega=0"), "omega must be positive"),
+])
+def test_invalid_parameters_exit_2_without_outputs(tmp_path, capsys, argv, message):
+    code, out = run_cli(tmp_path, *argv)
+    assert code == 2
+    assert not list(out.iterdir())
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # one cheap run per subcommand, for the failure-injection test
 SMALL_RUNS = {
     "ml-weights": ("n_max=8",),
@@ -408,6 +424,16 @@ class TestFunctionalCheck:
     def test_width_validation(self, tmp_path):
         code, _ = run_cli(tmp_path, "functional-check", "width=1.5")
         assert code == 2
+
+    def test_oracle_over_its_gate_exits_3_without_outputs(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # the direct exp-mixture quadrature reports an estimate above 1e-7
+        monkeypatch.setattr(functionals.integrate, "nquad",
+                            lambda *args, **kwargs: (0.0, 1.0, {"neval": 0}))
+        code, out = run_cli(tmp_path, "functional-check", "case=exp-mixture")
+        assert code == 3
+        assert not list(out.iterdir())
+        assert "error estimate 1.00e+00" in capsys.readouterr().err
 
 
 class TestSampleMeasure:
@@ -715,11 +741,16 @@ class TestGroundPotential:
     @pytest.mark.parametrize("pairs", [
         ("n_particles=2", "kind=calogero", "lam=1e300"),   # no finite potential value
         ("n_particles=3", "kind=harmonic", "omega=1e300"),  # NaN residual
+        ("lo=-1e200", "hi=1e200"),                           # W overflows
+        ("lo=-1e308", "hi=1e307", "n_particles=3"),
     ])
-    def test_nonfinite_results_exit_3_without_outputs(self, tmp_path, pairs):
+    def test_nonfinite_results_exit_3_without_outputs(self, tmp_path, capsys, pairs):
         code, out = run_cli(tmp_path, "ground-potential", *pairs)
         assert code == 3
         assert not list(out.iterdir())
+        expected = ("the potential has no finite value on the grid" if "lam=1e300" in pairs
+                    else "residual_check: the residual is not finite")
+        assert capsys.readouterr().err.startswith("error: " + expected)
 
     def test_grid_cap(self, tmp_path):
         code, _ = run_cli(tmp_path, "ground-potential", "n_particles=3",

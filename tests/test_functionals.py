@@ -173,6 +173,37 @@ class TestFieldIntegral:
     def test_zero_function(self):
         assert fn.field_integral(F_ZERO, BOX1) == 0.0j
 
+    def test_gaussian_plus_cosine_2d_vs_gauss_legendre(self):
+        box = fn.Box((1.0, 0.5))
+        f = fn.TestFunction((
+            {"shape": "gaussian", "center": (0.4, 0.2), "width": 0.15, "amplitude": 1.5},
+            {"shape": "cosine", "center": (0.0, 0.0), "width": 0.7, "amplitude": 0.8}))
+        # 400 x 400 tensor Gauss-Legendre rule on the box
+        x, w = np.polynomial.legendre.leggauss(400)
+        x1, x2 = np.meshgrid(0.5 * (x + 1.0), 0.25 * (x + 1.0), indexing="ij")
+        vals = np.exp(1j * f(np.column_stack([x1.ravel(), x2.ravel()]))) - 1.0
+        ref = complex((np.outer(w, w).ravel() * vals).sum() * 0.5 * 0.25)
+        assert abs(fn.field_integral(f, box) - ref) < 1e-12
+
+
+F_GAUSS = fn.TestFunction(
+    ({"shape": "gaussian", "center": (0.4,), "width": 0.12, "amplitude": 1.3},))
+F_GAUSS_2D = fn.TestFunction(
+    ({"shape": "gaussian", "center": (0.4, 0.2), "width": 0.15, "amplitude": 1.5},))
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: fn.field_integral(F_GAUSS, BOX1),
+    lambda: fn.field_integral(F_GAUSS_2D, fn.Box((1.0, 0.5))),
+    lambda: fn.char_compound(F_PHASE, unit_measure(), fn.MixingMeasure.lognormal(0.8)),
+], ids=["field-1d", "field-2d", "lognormal"])
+def test_quadrature_gate_reports_the_estimate(monkeypatch, evaluate):
+    # every adaptive integral runs through nquad and is gated on its estimate
+    monkeypatch.setattr(fn.integrate, "nquad",
+                        lambda *args, **kwargs: (0.0, 1.0, {"neval": 0}))
+    with pytest.raises(fn.QuadratureError, match=r"error estimate 1\.00e\+00"):
+        evaluate()
+
 
 class TestCharPoisson:
     def test_zero_function(self):
