@@ -42,7 +42,6 @@ __all__ = [
     "sharpness_metric",
 ]
 
-_ZETA_32 = specfun.zeta_const(1.5)
 _ZETA_52 = specfun.zeta_const(2.5)
 _Z_CAP = 1.0 - 1e-12
 _FD_STEP = 1e-4

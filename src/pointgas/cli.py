@@ -642,17 +642,15 @@ def _cmd_ground_potential(cfg):
         raise ValueError("hi - lo must be finite")
     if p["omega"] <= 0.0:
         raise ValueError("omega must be positive")
+    if p["exclusion"] < 0:
+        raise ValueError("exclusion must be >= 0")
     if p["points"] ** p["n_particles"] > _POTENTIAL_ROWS_MAX:
         raise ValueError(f"grid too large: points^n_particles exceeds {_POTENTIAL_ROWS_MAX}")
     field = functionals.GroundStateField(
         p["n_particles"], p["kind"], omega=p["omega"], lam=p["lam"])
     grid = np.linspace(p["lo"], p["hi"], p["points"])
-    v = functionals.ground_state_potential(field, grid)
+    mesh, v, resid = functionals._ground_state_map(field, grid, p["exclusion"])
     finite = v[np.isfinite(v)]
-    if not finite.size:
-        raise RuntimeError("the potential has no finite value on the grid")
-    resid = functionals.residual_check(field, grid, exclusion_cells=p["exclusion"])
-    mesh = np.meshgrid(*([grid] * p["n_particles"]), indexing="ij")
     table = {f"x{i + 1}": m.ravel() for i, m in enumerate(mesh)}
     table["v"] = v.ravel()
     report = {

@@ -596,8 +596,18 @@ def _w_analytic(f, mesh):
     return w
 
 
-def _potential_analytic(f, mesh):
+def _potential_mesh(f, axes):
+    """(mesh, V) on the meshgrid of axes: analytic derivatives for harmonic
+    and calogero fields, central differences for custom samples."""
+    mesh = np.meshgrid(*axes, indexing="ij")
     n = f.n_particles
+    if f.w_kind == "custom":
+        w = np.asarray(f.w_values, dtype=float)
+        if w.shape != mesh[0].shape:
+            raise ValueError(f"w_values shape {w.shape} does not match grid {mesh[0].shape}")
+        grads = np.gradient(w, *axes) if n > 1 else [np.gradient(w, axes[0])]
+        lap = sum(np.gradient(g, ax, axis=i) for i, (g, ax) in enumerate(zip(grads, axes)))
+        return mesh, -lap + sum(g * g for g in grads)
     lap = 2.0 * f.omega * n * (n - 1)
     grad_sq = np.zeros_like(mesh[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -613,20 +623,7 @@ def _potential_analytic(f, mesh):
             for i in range(n):
                 for j in range(i + 1, n):
                     lap = lap - 2.0 * f.lam / (mesh[i] - mesh[j]) ** 2
-        return -lap + grad_sq
-
-
-def _potential_custom(f, axes):
-    w = np.asarray(f.w_values, dtype=float)
-    shape = tuple(ax.size for ax in axes)
-    if w.shape != shape:
-        raise ValueError(f"w_values shape {w.shape} does not match grid {shape}")
-    grads = np.gradient(w, *axes) if len(axes) > 1 else [np.gradient(w, axes[0])]
-    grad_sq = sum(g * g for g in grads)
-    lap = np.zeros_like(w)
-    for i, ax in enumerate(axes):
-        lap = lap + np.gradient(np.gradient(w, ax, axis=i), ax, axis=i)
-    return -lap + grad_sq
+        return mesh, -lap + grad_sq
 
 
 def ground_state_potential(f, grid):
@@ -637,18 +634,13 @@ def ground_state_potential(f, grid):
     is returned on the meshgrid. Analytic derivatives for harmonic and
     calogero fields; central differences for custom samples (interior rows
     are the trustworthy ones)."""
-    axes = _field_axes(f, grid)
-    if f.w_kind == "custom":
-        return _potential_custom(f, axes)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return _potential_analytic(f, mesh)
+    return _potential_mesh(f, _field_axes(f, grid))[1]
 
 
-def residual_check(f, grid, exclusion_cells=3):
-    """Relative residual ||(-Lap + V) exp(-W)|| / ||exp(-W)|| on the grid
-    interior, with the pair-coincidence set excluded by a margin of
-    exclusion_cells grid cells for log-singular fields. Raises RuntimeError
-    when no grid point is left to measure or the residual is not finite."""
+def _ground_state_map(f, grid, exclusion_cells):
+    """(mesh, V, residual_check's residual) from one evaluation of V."""
+    if exclusion_cells < 0:
+        raise ValueError("exclusion_cells must be >= 0")
     axes = _field_axes(f, grid)
     steps = []
     for ax in axes:
@@ -656,42 +648,47 @@ def residual_check(f, grid, exclusion_cells=3):
         if np.any(np.abs(d - d[0]) > 1e-12 * np.abs(d[0])):
             raise ValueError("residual_check requires uniformly spaced axes")
         steps.append(float(d[0]))
-    mesh = np.meshgrid(*axes, indexing="ij")
+    mesh, v = _potential_mesh(f, axes)
+    if not np.isfinite(v).any():
+        raise RuntimeError("the potential has no finite value on the grid")
     if f.w_kind == "custom":
-        w = np.asarray(f.w_values, dtype=float)
-        v = _potential_custom(f, axes)
+        # np.gradient is one-sided on the faces, so V one cell in is too
+        w, edge = np.asarray(f.w_values, dtype=float), 2
     else:
-        w = _w_analytic(f, mesh)
-        v = _potential_analytic(f, mesh)
+        w, edge = _w_analytic(f, mesh), 1
+    core = tuple(slice(edge, ax.size - edge) for ax in axes)
     with np.errstate(over="ignore", invalid="ignore"):
         omega_arr = np.exp(-w)
-        lap = np.zeros_like(omega_arr)
+        lap = 0.0
         for i, h in enumerate(steps):
-            sl_up = [slice(None)] * omega_arr.ndim
-            sl_dn = [slice(None)] * omega_arr.ndim
-            sl_md = [slice(None)] * omega_arr.ndim
-            sl_up[i] = slice(2, None)
-            sl_dn[i] = slice(None, -2)
-            sl_md[i] = slice(1, -1)
-            contrib = (omega_arr[tuple(sl_up)] - 2.0 * omega_arr[tuple(sl_md)]
-                       + omega_arr[tuple(sl_dn)]) / (h * h)
-            pad = [(1, 1) if j == i else (0, 0) for j in range(omega_arr.ndim)]
-            lap = lap + np.pad(contrib, pad)
-    interior = np.zeros(omega_arr.shape, dtype=bool)
-    interior[(slice(1, -1),) * omega_arr.ndim] = True
+            up, dn = list(core), list(core)
+            up[i] = slice(edge + 1, axes[i].size - edge + 1)
+            dn[i] = slice(edge - 1, axes[i].size - edge - 1)
+            lap = lap + (omega_arr[tuple(up)] - 2.0 * omega_arr[core]
+                         + omega_arr[tuple(dn)]) / (h * h)
+    keep = np.ones(lap.shape, dtype=bool)
     if f.w_kind == "calogero":
         margin = exclusion_cells * max(steps)
         for i in range(f.n_particles):
             for j in range(i + 1, f.n_particles):
-                interior &= np.abs(mesh[i] - mesh[j]) > margin
-    if not interior.any():
+                keep &= np.abs(mesh[i][core] - mesh[j][core]) > margin
+    if not keep.any():
         # an empty mask would make the residual 0/0
         raise RuntimeError("residual_check: no grid point lies inside the boundary "
                            "and outside the pair-exclusion margin")
     with np.errstate(invalid="ignore", over="ignore"):
-        residual = (-lap + v * omega_arr)[interior]
-        out = float(np.linalg.norm(residual) / np.linalg.norm(omega_arr[interior]))
+        residual = (-lap + v[core] * omega_arr[core])[keep]
+        out = float(np.linalg.norm(residual) / np.linalg.norm(omega_arr[core][keep]))
     if not math.isfinite(out):
         raise RuntimeError("residual_check: the residual is not finite (the field "
                            "or the potential overflows on this grid)")
-    return out
+    return mesh, v, out
+
+
+def residual_check(f, grid, exclusion_cells=3):
+    """Relative residual ||(-Lap + V) exp(-W)|| / ||exp(-W)|| one cell in
+    from each face (two for custom samples), with the pair-coincidence set
+    excluded by a margin of exclusion_cells >= 0 grid cells for log-singular
+    fields. Raises RuntimeError when V has no finite value, no grid point is
+    left to measure or the residual is not finite."""
+    return _ground_state_map(f, grid, exclusion_cells)[2]

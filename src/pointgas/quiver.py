@@ -76,7 +76,7 @@ BASIS_STATES = ("double", "up", "down", "hole")
 _MAX_ALGEBRA_SITES = 6      # Fock dimension 4**6 = 4096
 _MAX_TUPLE_SITES = 4        # exhaustive 4-tuple sweeps stay affordable
 _CHUNK_ENTRIES = 1 << 14    # table entries per site tuple chunk of an algebra check
-_MAX_ENUM_STATES = 20_000_000
+_MAX_EXACT_SITES = 12       # largest lattice of the exact search
 
 _CODE_ELECTRONS = (0, 1, 1, 2)
 _CODE_CHARS = (".", "u", "d", "2")
@@ -814,8 +814,8 @@ _FRONTIER_CHUNK = 4096      # partial patterns extended per numpy pass
 
 
 def exact_search_fits(lattice: Lattice) -> bool:
-    """Whether ground_search_exact accepts the lattice (4**n_sites within the cap)."""
-    return 4 ** lattice.n_sites <= _MAX_ENUM_STATES
+    """Whether ground_search_exact accepts the lattice (at most 12 sites)."""
+    return lattice.n_sites <= _MAX_EXACT_SITES
 
 
 @lru_cache(maxsize=8)
@@ -915,8 +915,8 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
     n = lattice.n_sites
     if not exact_search_fits(lattice):
         raise ValueError(
-            f"exact enumeration needs {4 ** n} occupation patterns, above the "
-            f"cap {_MAX_ENUM_STATES}; use ground_search_anneal for this lattice"
+            f"the exact transfer-matrix search takes at most {_MAX_EXACT_SITES} sites, "
+            f"got {n}; use ground_search_anneal for this lattice"
         )
     if not 0 <= electrons <= 2 * n:
         raise ValueError(f"electron count must lie in 0..{2 * n}")
@@ -1116,7 +1116,7 @@ def ground_search_anneal(
     moves accepted), so the per-sweep energy trace is monotone.  Moves
     change the five integer energy counts by exact differences, so every
     running and best energy is bitwise `energy` of its state and can never
-    undercut the exact enumeration minimum.  Deterministic for a given seed.
+    undercut the exact search's minimum.  Deterministic for a given seed.
 
     rng must be a numpy Generator on PCG64 (np.random.default_rng), or a
     TypeError is raised.  Its draws are read in blocks from the raw PCG64

@@ -293,6 +293,27 @@ class TestExitCodes:
                           config=tmp_path / "absent.cfg")
         assert code == 2
 
+    def test_malformed_config_line_exits_2_naming_the_line(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("alpha=0.7\n# comment\noops\n")
+        code, out = run_cli(tmp_path, "ml-weights", config=cfg_file)
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: {cfg_file}:3: expected key=value, got 'oops'\n")
+
+    def test_nonfinite_json_value_exits_3_without_outputs(self, tmp_path, monkeypatch,
+                                                          capsys):
+        # a NaN weight reaches report.json through the weight sum
+        monkeypatch.setattr(functionals, "weights_fractional",
+                            lambda alpha, m, n_max: np.full(n_max + 1, math.nan))
+        code, out = run_cli(tmp_path, "ml-weights", "n_max=8")
+        assert code == 3
+        assert not list(out.iterdir())
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: non-finite value in a JSON output (")
+
     def test_bad_subcommand_argparse_exit(self):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["frobnicate"])
@@ -307,6 +328,7 @@ class TestExitCodes:
     (("ground-potential", "points=4"), "points must be at least 5"),
     (("ground-potential", "lo=1", "hi=0"), "need lo < hi"),
     (("ground-potential", "omega=0"), "omega must be positive"),
+    (("ground-potential", "kind=calogero", "exclusion=-1"), "exclusion must be >= 0"),
 ])
 def test_invalid_parameters_exit_2_without_outputs(tmp_path, capsys, argv, message):
     code, out = run_cli(tmp_path, *argv)
@@ -756,6 +778,23 @@ class TestGroundPotential:
         code, _ = run_cli(tmp_path, "ground-potential", "n_particles=3",
                           "points=101")
         assert code == 2
+
+    def test_one_mesh_and_one_potential_per_run(self, tmp_path, monkeypatch):
+        counts = {"meshgrid": 0, "potential": 0}
+
+        def counted(key, func):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return func(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np, "meshgrid", counted("meshgrid", np.meshgrid))
+        monkeypatch.setattr(functionals, "_potential_mesh",
+                            counted("potential", functionals._potential_mesh))
+        code, _ = run_cli(tmp_path, "ground-potential", "n_particles=3",
+                          "points=11", "kind=calogero")
+        assert code == 0
+        assert counts == {"meshgrid": 1, "potential": 1}
 
     def test_overflowing_span_exits_2_without_outputs(self, tmp_path, capsys):
         code, out = run_cli(tmp_path, "ground-potential", "lo=-1e308", "hi=1e308")

@@ -683,6 +683,21 @@ class TestGroundStatePotential:
         r = fn.residual_check(gs, np.linspace(-1.0, 1.0, 501))
         assert r < 1e-4
 
+    def test_custom_residual_matches_harmonic(self):
+        # custom V is one-sided one cell in from the faces, so it is measured two in
+        grid = np.linspace(-0.3, 0.3, 101)
+        x1, x2 = np.meshgrid(grid, grid, indexing="ij")
+        ref = fn.residual_check(fn.GroundStateField(2, "harmonic", omega=1.0), grid)
+        gs = fn.GroundStateField(2, "custom", w_values=(x1 - x2) ** 2)
+        r = fn.residual_check(gs, grid)
+        assert r < 1e-4
+        assert r == pytest.approx(ref, rel=0.01)
+
+    def test_negative_exclusion_rejected(self):
+        gs = fn.GroundStateField(2, "calogero", omega=0.5, lam=-1.0)
+        with pytest.raises(ValueError, match="exclusion_cells"):
+            fn.residual_check(gs, np.linspace(-1.0, 1.0, 21), exclusion_cells=-1)
+
     def test_calogero_separated_axes(self):
         # axes that never meet the coincidence set
         gs = fn.GroundStateField(2, "calogero", omega=0.5, lam=-1.0)

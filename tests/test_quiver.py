@@ -728,11 +728,14 @@ class TestGroundSearchExact:
             q.ground_search_exact(q.Lattice(2, 2), p, 4)
 
     def test_size_cap_directs_to_annealing(self):
-        assert q.exact_search_fits(q.Lattice(3, 4, "open"))
-        assert not q.exact_search_fits(q.Lattice(4, 4, "open"))
-        with pytest.raises(ValueError, match="anneal"):
-            q.ground_search_exact(q.Lattice(4, 4, "open"),
-                                  canonical_params(1, 0), 14)
+        # the cap is 12 sites, whatever the shape
+        for shape in [(3, 4), (2, 6)]:
+            assert q.exact_search_fits(q.Lattice(*shape, "open"))
+        for shape in [(4, 4), (13, 1)]:
+            lat = q.Lattice(*shape, "open")
+            assert not q.exact_search_fits(lat)
+            with pytest.raises(ValueError, match="transfer-matrix.*anneal"):
+                q.ground_search_exact(lat, canonical_params(1, 0), 14)
 
     def test_electron_count_validation(self):
         lat = q.Lattice(2, 1, "open")
