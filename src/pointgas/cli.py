@@ -347,10 +347,10 @@ _GIRARD_MODES_MAX = 1500
 # ml-weights n_max: the (mixing nodes, n_max + 1) Poisson table peaks at
 # about 225 MB for alpha = 0.01, the rule with the most nodes (2376).
 _ML_WEIGHTS_N_MAX = 4096
-# sample-measure n_samples: the MC values and their spread take about 40
-# bytes a sample (the count histogram is read off the sampled chunks);
-# 4,000,000 fractional samples run in about 2.3 s and peak at about 228 MB
-# above a bare interpreter, 160 MB above the library import.
+# sample-measure n_samples: the MC values stream through in chunks of 1000
+# (the count histogram is read off the sampled chunks), so the cap bounds
+# the run time; 4,000,000 fractional samples run in about 2.3 s and peak at
+# about 78 MB above a bare interpreter, 8 MB above the library import.
 _SAMPLE_N_MAX = 4_000_000
 # bec-curve solve cells over 64, steps x sigmas x max(n_nodes, 64) / 64: one
 # sigma at 20000 steps of 64 nodes peaks at about 180 MB, mostly the solve.

@@ -509,23 +509,28 @@ def mc_char(f, sampler, n_samples, rng):
     Samples are drawn from independent child streams of rng in chunks of
     1000 and reduced in fixed stream order, so the result depends only on
     the seed, never on scheduling. sampler(stream, size) returns one chunk
-    as a batch (counts, points), as the samplers above do with size.
+    as a batch (counts, points), as the samplers above do with size.  Each
+    chunk leaves only its sum and its centred sum of squares, merged into
+    the running ones by the pairwise update of Chan, Golub & LeVeque
+    (1983, Am. Stat. 37:242), so memory does not grow with n_samples.
     """
     if n_samples < 100:
         raise ValueError(f"need at least 100 samples, got {n_samples!r}")
     n_samples = int(n_samples)
     chunk = 1000
     n_chunks = -(-n_samples // chunk)
-    streams = rng.spawn(n_chunks)
-    vals = np.empty(n_samples, dtype=complex)
-    pos = 0
-    for stream in streams:
-        take = min(chunk, n_samples - pos)
+    total, spread, done = 0j, 0.0, 0
+    for stream in rng.spawn(n_chunks):
+        take = min(chunk, n_samples - done)
         theta = _batch_pairings(f, *sampler(stream, take))
-        vals[pos:pos + take] = np.cos(theta) + 1j * np.sin(theta)
-        pos += take
-    est = complex(vals.sum() / n_samples)
-    spread = float(np.abs(vals - est).__pow__(2).sum())
+        vals = np.cos(theta) + 1j * np.sin(theta)
+        part = complex(vals.sum())
+        part_spread = float(np.abs(vals - part / take).__pow__(2).sum())
+        if done:
+            shift = part / take - total / done
+            part_spread += abs(shift) ** 2 * (done * take / (done + take))
+        total, spread, done = total + part, spread + part_spread, done + take
+    est = total / n_samples
     stderr = math.sqrt(spread / (n_samples * (n_samples - 1.0)))
     return est, stderr
 

@@ -76,7 +76,6 @@ BASIS_STATES = ("double", "up", "down", "hole")
 _MAX_ALGEBRA_SITES = 6      # Fock dimension 4**6 = 4096
 _MAX_TUPLE_SITES = 4        # exhaustive 4-tuple sweeps stay affordable
 _CHUNK_ENTRIES = 1 << 14    # table entries per site tuple chunk of an algebra check
-_MAX_EXACT_SITES = 12       # largest lattice of the exact search
 
 _CODE_ELECTRONS = (0, 1, 1, 2)
 _CODE_CHARS = (".", "u", "d", "2")
@@ -810,28 +809,59 @@ def energy(occ: Occupation, lattice: Lattice, p: QuiverParams) -> float:
 # ground-state search
 
 
-_FRONTIER_CHUNK = 4096      # partial patterns extended per numpy pass
+_FRONTIER_ENTRIES = 1 << 16  # (partial pattern, slice code) pairs scored per numpy pass
+_FIRST_CHUNK = 32           # first-slice codes of a ring per forward pass
+_TABLE_ROWS = 1024          # transfer-table rows gathered per numpy pass
+_PRODUCT_ENTRIES = 1 << 15  # partial sums of one min-plus product per numpy pass
+# listed minimizers: about 300 B each here and 600 B in a quiver-ground
+# run, which also keeps their pairing diagnostics, so that a run at the cap
+# peaks near 200 MB above a bare interpreter
+_MAX_MINIMIZERS = 200_000
+# Cost rule of the exact search, in multiply-adds of its forward pass (about
+# 4 ns each on a 2-vCPU Linux VM, Python 3.11, numpy 2.4).  One min-plus
+# block product also costs _PRODUCT_MADDS of them in numpy call overhead,
+# and one byte of a transfer table or a kept state _BYTE_MADDS.  The
+# budget is about 1 s there.  At half filling 4x4 periodic counts 5.5e7
+# (0.27 s), 4x5 periodic 1.9e8 (0.8 s) and 5x9 open 2.5e8 (0.9 s); 4x6
+# periodic counts 3.9e8 and is left to the annealer.
+_PRODUCT_MADDS = 4_000
+_BYTE_MADDS = 10
+_EXACT_BUDGET = 250_000_000
 
 
-def exact_search_fits(lattice: Lattice) -> bool:
-    """Whether ground_search_exact accepts the lattice (at most 12 sites)."""
-    return lattice.n_sites <= _MAX_EXACT_SITES
+@lru_cache(maxsize=8)
+def _code_classes(width: int):
+    """Slice codes in blocks of equal electron count: (codes, electrons, starts).
+
+    codes lists the 4**width slice codes stably sorted by their electron
+    count `electrons`; the codes holding c electrons sit at positions
+    starts[c]:starts[c + 1].  Every transfer table and forward-pass state
+    is indexed by these positions.
+    """
+    shifts = 2 * np.arange(width)
+    count = np.array(_CODE_ELECTRONS)[(np.arange(4 ** width)[:, None] >> shifts) & 3].sum(axis=1)
+    codes = np.argsort(count, kind="stable")
+    return codes, count[codes], np.searchsorted(count[codes], np.arange(2 * width + 2))
 
 
 @lru_cache(maxsize=8)
 def _slice_plan(lattice: Lattice):
     """Slices along the longer side and the energy terms of each transfer table.
 
-    Returns (slices, groups, wrap): slices (L, w) lists the sites of each
-    slice, groups[k] the (sites, rows) of the terms whose highest slice is
-    k, and wrap the terms between the last and the first slice of a
-    periodic ring of three or more slices (None otherwise).  Each term is in
-    exactly one group: on a two-slice ring every term between the slices,
-    wrap bonds included, is in groups[1].
+    Returns (slices, parts): slices (L, w) lists the sites of each slice;
+    parts[k] = (key, group, span) describes table k < L, over the codes of
+    slice 0 (k = 0) or of slices k - 1 and k, from the terms whose highest
+    slice is k.  A periodic ring of three or more slices adds parts[L], the
+    closing table over slices L - 1 and 0 from the terms between them.
+    group holds the terms' (sites, rows) and span the slice indices; key is
+    the sorted term list relabeled to positions within the span, so two
+    parts with one key have one table.  Each term is in exactly one part:
+    on a two-slice ring every term between the slices, wrap bonds included,
+    is in parts[1].
     """
     grid = np.arange(lattice.n_sites).reshape(lattice.lx, lattice.ly)
     slices = grid if lattice.lx >= lattice.ly else grid.T
-    n_slices = slices.shape[0]
+    n_slices, width = slices.shape
     slice_of = np.empty(lattice.n_sites, dtype=np.intp)
     slice_of[slices] = np.arange(n_slices)[:, None]
     sites, rows, _, _ = _terms(lattice)
@@ -845,24 +875,221 @@ def _slice_plan(lattice: Lattice):
         else:
             raise RuntimeError(f"energy term on sites {triple} spans non-adjacent slices")
     owner = np.array(owner)
-    groups = [(sites[owner == k], rows[owner == k]) for k in range(n_slices + 1)]
-    wrap = groups.pop()
-    return slices, tuple(groups), wrap if wrap[1].size else None
+    spans = [(0,)] + [(k - 1, k) for k in range(1, n_slices)] + [(n_slices - 1, 0)]
+    parts = []
+    for k, span in enumerate(spans):
+        mine = owner == k
+        if k == n_slices and not mine.any():
+            break
+        # the phantom hole takes the position after the span's sites
+        position = np.full(lattice.n_sites + 1, len(span) * width)
+        for j, s in enumerate(span):
+            position[slices[s]] = j * width + np.arange(width)
+        relabeled = zip(rows[mine].tolist(), map(tuple, position[sites[mine]].tolist()))
+        parts.append(((len(span), tuple(sorted(relabeled))), (sites[mine], rows[mine]), span))
+    return slices, tuple(parts)
 
 
 def _slice_table(lattice: Lattice, p: QuiverParams, group, *slice_sites) -> np.ndarray:
     """Energy of the `group` terms over every code of each given slice.
 
     A slice code packs the slice's w site codes, site j in bits 2j, 2j + 1;
-    the result has one axis of 4**w codes per slice.
+    the result has one axis per slice over the 4**w codes in the order of
+    `_code_classes`.  Rows are gathered _TABLE_ROWS at a time.
     """
     width = len(slice_sites[0])
-    shape = (4 ** width,) * len(slice_sites)
-    codes = np.indices(shape).reshape(len(slice_sites), -1)
-    padded = np.zeros((codes.shape[1], lattice.n_sites + 1), dtype=np.uint8)
-    for sites, code in zip(slice_sites, codes):
-        padded[:, sites] = (code[:, None] >> 2 * np.arange(width)) & 3
-    return _combine(_count_terms(padded, *group), p).reshape(shape)
+    codes = _code_classes(width)[0]
+    digits = ((codes[:, None] >> 2 * np.arange(width)) & 3).astype(np.uint8)
+    shape = (codes.size,) * len(slice_sites)
+    table = np.empty(math.prod(shape))
+    padded = np.zeros((_TABLE_ROWS, lattice.n_sites + 1), dtype=np.uint8)
+    for start in range(0, table.size, _TABLE_ROWS):
+        index = np.unravel_index(np.arange(start, min(start + _TABLE_ROWS, table.size)), shape)
+        chunk = padded[:index[0].size]
+        for sites, code in zip(slice_sites, index):
+            chunk[:, sites] = digits[code]
+        table[start:start + chunk.shape[0]] = _combine(_count_terms(chunk, *group), p)
+    return table.reshape(shape)
+
+
+def _transfer_tables(lattice: Lattice, p: QuiverParams):
+    """(tables, closing): table k of every slice and, on a ring of three or
+    more slices, the closing table indexed [first, last] (None otherwise).
+    Each distinct table is built once."""
+    slices, parts = _slice_plan(lattice)
+    built = {}
+    for key, group, span in parts:
+        if key not in built:
+            built[key] = _slice_table(lattice, p, group, *slices[list(span)])
+    tables = [built[key] for key, _, _ in parts]
+    closing = tables.pop().T if len(parts) > len(slices) else None
+    return tables, closing
+
+
+def _first_classes(width: int, n_slices: int, electrons: int) -> list:
+    """Electron counts of a ring's first slice from which `electrons` is reachable."""
+    top = 2 * width
+    return [a for a in range(top + 1) if a <= electrons <= a + top * (n_slices - 1)]
+
+
+def _first_chunks(width: int, firsts: np.ndarray):
+    """The sorted code positions `firsts` in chunks of at most _FIRST_CHUNK
+    that each lie within one electron class."""
+    starts = _code_classes(width)[2]
+    for a in range(2 * width + 1):
+        mine = firsts[(firsts >= starts[a]) & (firsts < starts[a + 1])]
+        for s in range(0, mine.size, _FIRST_CHUNK):
+            yield mine[s:s + _FIRST_CHUNK]
+
+
+def _minplus(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """min over j of rows[..., j] + table[j, :], in blocks of _PRODUCT_ENTRIES sums."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    step = max(1, _PRODUCT_ENTRIES // table.size)
+    if step >= flat.shape[0]:
+        out = np.minimum.reduce(flat[:, :, None] + table, axis=1)
+    else:
+        out = np.empty((flat.shape[0], table.shape[1]))
+        for s in range(0, flat.shape[0], step):
+            np.minimum.reduce(flat[s:s + step, :, None] + table, axis=1, out=out[s:s + step])
+    return out.reshape(*rows.shape[:-1], table.shape[1])
+
+
+def _pass_blocks(width: int, n_slices: int, electrons: int, off: int, ring: bool):
+    """The min-plus block products of one forward pass, slice by slice.
+
+    Yields (k, n_layers, blocks) for every slice k the pass steps to:
+    slice k keeps n_layers layers (the last one only the layer that
+    reaches `electrons`), and blocks lists (b, c, i_lo, i_hi), the product
+    of prev class b over layers i_lo..i_hi of slice k - 1 with code class
+    c.  Those are the layers i for which off + i + b + c, the electrons
+    through slice k, lies in [lo, electrons], lo leaving `electrons`
+    reachable in the later slices.
+    """
+    top = 2 * width
+    for k in range(ring + 1, n_slices):
+        lo = electrons - top * (n_slices - 1 - k)
+        n_prev = min(top * (k - 1 - ring), electrons - off) + 1
+        blocks = []
+        for b in range(top + 1):
+            for c in range(top + 1):
+                i_lo, i_hi = max(lo - off - b - c, 0), min(electrons - off - b - c, n_prev - 1)
+                if i_lo <= i_hi:
+                    blocks.append((b, c, i_lo, i_hi))
+        yield k, min(top * (k - ring), electrons - off) + 1, blocks
+
+
+def _forward(tables, closing, electrons: int, firsts=None, keep: bool = False):
+    """One min-plus forward pass over the slices, block by electron class.
+
+    firsts: on a ring, positions of first-slice codes that all hold `a`
+    electrons; None otherwise.  The state after slice k (from slice 1 on a
+    ring, 0 otherwise) is h[f, i, code]: the least DP sum over slices 0..k
+    that ends in `code` and holds off + i electrons in slices 0..k-1, off =
+    a on a ring and 0 otherwise.  A DP sum adds table entries in slice
+    order, T_0 + T_1 + ... + T_k, then the closing entry.  Each step takes
+    the block products of `_pass_blocks`; every cell they skip, from which
+    `electrons` is out of reach, stays inf.
+
+    Returns (total, least): total[f, last] is the least DP sum with
+    `electrons` in all (inf where none); least lists (off, h) for slices
+    0..L-2 if keep, with a ring's slice 0 as h[f, 0, code] = T_0 of the
+    first code, else None.
+    """
+    n_codes = tables[0].size
+    width = (n_codes.bit_length() - 1) // 2
+    _, count, starts = _code_classes(width)
+    n_slices = len(tables)
+    if firsts is None:
+        off = 0
+        h = tables[0][None, None, :]
+        least = [(0, h)]
+    else:
+        off = int(count[firsts[0]])
+        diag = np.full((firsts.size, 1, n_codes), np.inf)
+        diag[np.arange(firsts.size), 0, firsts] = tables[0][firsts]
+        h = (tables[0][firsts, None] + tables[1][firsts])[:, None, :]
+        least = [(0, diag), (off, h)]
+    for k, n_layers, blocks in _pass_blocks(width, n_slices, electrons, off, firsts is not None):
+        table = tables[k]
+        final = k == n_slices - 1
+        g = np.full((h.shape[0], n_codes) if final else (h.shape[0], n_layers, n_codes), np.inf)
+        for b, c, i_lo, i_hi in blocks:
+            prev, code = slice(starts[b], starts[b + 1]), slice(starts[c], starts[c + 1])
+            part = _minplus(h[:, i_lo:i_hi + 1, prev], table[prev, code])
+            if final:
+                np.minimum(g[:, code], part[:, 0], out=g[:, code])
+            else:
+                dest = g[:, i_lo + b:i_hi + b + 1, code]
+                np.minimum(dest, part, out=dest)
+        h = g
+        if keep and not final:
+            least.append((off, h))
+    if n_slices == 1:
+        h = np.where(count == electrons, h[:, 0], np.inf)
+    if closing is not None:
+        h = h + closing[firsts]
+    return h, least if keep else None
+
+
+def _exact_search_work(lattice: Lattice, electrons: int, stop: float = math.inf) -> int:
+    """Work units of ground_search_exact's forward pass at `electrons`.
+
+    Counts, in integers from the class sizes C(2w, c), the multiply-adds of
+    every min-plus block product of `_pass_blocks`, plus _PRODUCT_MADDS per
+    product and chunk of first codes.  Stops counting once the total
+    passes `stop`.
+    """
+    slices, parts = _slice_plan(lattice)
+    n_slices, width = slices.shape
+    ring = len(parts) > n_slices
+    sizes = [math.comb(2 * width, c) for c in range(2 * width + 1)]
+    if ring:
+        firsts = [(sizes[a], a) for a in _first_classes(width, n_slices, electrons)]
+        work = 4 ** width * sum(size for size, _ in firsts)
+    else:
+        firsts, work = [(1, 0)], 0
+    for size, off in firsts:
+        n_chunks = -(-size // _FIRST_CHUNK)
+        for _, _, blocks in _pass_blocks(width, n_slices, electrons, off, ring):
+            if work > stop:
+                return work
+            work += sum(size * sizes[b] * sizes[c] * (i_hi - i_lo + 1) for b, c, i_lo, i_hi in blocks)
+            work += _PRODUCT_MADDS * n_chunks * len(blocks)
+    return work
+
+
+def _exact_search_bytes(lattice: Lattice) -> int:
+    """Bytes of the distinct transfer tables plus the forward states that
+    one backtracking pass keeps, at the electron count that keeps the most."""
+    slices, parts = _slice_plan(lattice)
+    n_slices, width = slices.shape
+    top, n_codes = 2 * width, 4 ** width
+    ring = len(parts) > n_slices
+    # a ring keeps one layer for each of slices 0 and 1, an open strip for slice 0
+    layers = (2 if ring else 1) + sum(top * k + 1 for k in range(1, n_slices - 1 - ring))
+    rows = min(math.comb(top, width), _FIRST_CHUNK) if ring else 1
+    tables = sum(n_codes ** key[0] for key in {key for key, _, _ in parts})
+    return 8 * (tables + rows * layers * n_codes)
+
+
+@lru_cache(maxsize=64)
+def exact_search_fits(lattice: Lattice) -> bool:
+    """Whether ground_search_exact accepts the lattice.
+
+    The cost rule: the forward pass's work at half filling, the costliest
+    electron count (see `_exact_search_work`), plus _BYTE_MADDS per byte of
+    its tables and kept states (`_exact_search_bytes`) stays within one
+    budget of about 1 s.  It admits every lattice of at most 12 sites and
+    4x4 in either boundary, and no periodic ring of width 5 or more.
+    """
+    n_slices, width = max(lattice.lx, lattice.ly), min(lattice.lx, lattice.ly)
+    # at least one table of 16**w entries and one block product per slice
+    floor = _BYTE_MADDS * 8 * 16 ** width * (n_slices > 1) + _PRODUCT_MADDS * (n_slices - 1)
+    if floor > _EXACT_BUDGET:
+        return False
+    budget = _EXACT_BUDGET - _BYTE_MADDS * _exact_search_bytes(lattice)
+    return budget >= 0 and _exact_search_work(lattice, lattice.n_sites, stop=budget) <= budget
 
 
 def _rounding_slack(lattice: Lattice, p: QuiverParams, n_items: int) -> float:
@@ -890,6 +1117,22 @@ def _rounding_slack(lattice: Lattice, p: QuiverParams, n_items: int) -> float:
     return 2.0 * (2 * n_items + 21) * 2.0 ** -53 * a_max + 2.0 ** -1022
 
 
+def _ring_totals(tables, closing, electrons: int):
+    """Yield (firsts, total) of a ring's forward pass, chunk by chunk.
+
+    The first codes from which `electrons` is reachable run in chunks of
+    at most _FIRST_CHUNK of one electron class; total[f, last] is the least
+    DP sum with `electrons` in all that starts at firsts[f] and ends at
+    `last`, closing table included (inf where none).
+    """
+    n_slices, n_codes = len(tables), tables[0].size
+    width = (n_codes.bit_length() - 1) // 2
+    count = _code_classes(width)[1]
+    reach = np.flatnonzero(np.isin(count, _first_classes(width, n_slices, electrons)))
+    for firsts in _first_chunks(width, reach):
+        yield firsts, _forward(tables, closing, electrons, firsts)[0]
+
+
 def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
     """Exact minimum energy and the complete set of minimizers.
 
@@ -900,94 +1143,115 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
     The lattice is cut into L slices of w = min(lx, ly) sites along its
     longer side; every energy term touches at most two adjacent slices
     (or the last and the first of a periodic ring).  A min-plus transfer
-    matrix over the 4**w slice codes runs over the state (first slice code
-    on a periodic ring, current slice code, electrons so far).  The DP sums
-    table entries in floating point, so it can differ from the energy in
-    the last bits: backtracking keeps every pattern whose DP sum lies within
-    a proven rounding margin of the least one, and the minimum and its
-    minimizers are decided on each candidate's energy recomputed from its
-    integer counts, bitwise equal to `energy`.
+    matrix over the 4**w slice codes, grouped by electron count, runs over
+    the state (first slice code on a periodic ring, current slice code,
+    electrons so far), visiting only the states from which the requested
+    count stays reachable (see `_forward`).  The DP sums table entries in
+    floating point, so it can differ from the energy in the last bits:
+    backtracking keeps every pattern whose DP sum lies within a proven
+    rounding margin of the least one, and the minimum and its minimizers
+    are decided on each candidate's energy recomputed from its integer
+    counts, bitwise equal to `energy`.  A ring's forward pass runs over
+    chunks of first codes and is rerun, keeping its states, only for the
+    first codes that hold a candidate.
 
-    Raises ValueError above the cap of `exact_search_fits`, for an electron
-    count outside 0..2 n_sites, and for couplings so large that an energy
-    could overflow (no finite rounding margin exists then).
+    Raises ValueError for a lattice that `exact_search_fits` rejects, for
+    an electron count outside 0..2 n_sites, for couplings so large that an
+    energy could overflow (no finite rounding margin exists then), and
+    once more than _MAX_MINIMIZERS candidates are found, before any
+    Occupation is built.
     """
     n = lattice.n_sites
     if not exact_search_fits(lattice):
         raise ValueError(
-            f"the exact transfer-matrix search takes at most {_MAX_EXACT_SITES} sites, "
-            f"got {n}; use ground_search_anneal for this lattice"
+            f"the exact transfer-matrix search on {lattice.lx}x{lattice.ly} {lattice.boundary} "
+            f"exceeds its cost budget; use ground_search_anneal for this lattice"
         )
     if not 0 <= electrons <= 2 * n:
         raise ValueError(f"electron count must lie in 0..{2 * n}")
-    slices, groups, wrap = _slice_plan(lattice)
+    slices, parts = _slice_plan(lattice)
     n_slices, width = slices.shape
-    n_codes = 4 ** width
-    shifts = 2 * np.arange(width)
-    code_electrons = np.array(_CODE_ELECTRONS)[(np.arange(n_codes)[:, None] >> shifts) & 3].sum(axis=1)
-    slack = _rounding_slack(lattice, p, n_slices + (wrap is not None))
-    tables = [_slice_table(lattice, p, groups[0], slices[0])]
-    tables += [_slice_table(lattice, p, groups[k], slices[k - 1], slices[k])
-               for k in range(1, n_slices)]
+    codes, count, _ = _code_classes(width)
+    n_codes = codes.size
+    slack = _rounding_slack(lattice, p, len(parts))
+    tables, closing = _transfer_tables(lattice, p)
 
-    # forward pass: least[k][first, code, e] is the least DP sum over slices
-    # 0..k ending in `code` with e electrons (first = 0 unless on a ring)
-    n_first = 1 if wrap is None else n_codes
-    reach = np.flatnonzero(code_electrons <= electrons)
-    f = np.full((n_first, n_codes, electrons + 1), np.inf)
-    f[reach if wrap is not None else 0, reach, code_electrons[reach]] = tables[0][reach]
-    least = [f]
-    for table in tables[1:]:
-        g = np.full_like(f, np.inf)
-        for prev in range(n_codes):
-            np.minimum(g, f[:, prev, None, :] + table[prev, None, :, None], out=g)
-        f = np.full_like(g, np.inf)
-        for d in range(min(2 * width, electrons) + 1):
-            sel = code_electrons == d
-            f[:, sel, d:] = g[:, sel, :electrons + 1 - d]
-        least.append(f)
-    closing = (np.zeros((1, n_codes)) if wrap is None
-               else _slice_table(lattice, p, wrap, slices[-1], slices[0]).T)
-    total = f[:, :, electrons] + closing
-    threshold = float(total.min()) + slack
+    # the least DP sum sets the threshold; a ring keeps, chunk by chunk, only
+    # the (first, last) pairs within the margin of the least sum so far
+    if closing is None:
+        total, least = _forward(tables, None, electrons, keep=True)
+        low = float(total.min())
+        first, last = np.nonzero(total <= low + slack)
+    else:
+        low, near = math.inf, []
+        for firsts, total in _ring_totals(tables, closing, electrons):
+            low = min(low, float(total.min()))
+            row, last = np.nonzero(total <= low + slack)
+            near.append((firsts[row], last, total[row, last]))
+        first, last, value = (np.concatenate(arrays) for arrays in zip(*near))
+        first, last = first[value <= low + slack], last[value <= low + slack]
+    threshold = low + slack
 
-    # backtracking, depth first in chunks: a partial pattern fixes slices
-    # k..L-1 (path), its first slice code, its electrons in slices 0..k and
-    # the DP sum of its tables above slice k
-    first, last = np.nonzero(total <= threshold)
-    stack = [(n_slices - 1, first, last[:, None], np.full(first.size, electrons),
-              closing[first, last])]
+    # the forward states behind the candidates: the one pass of an open
+    # strip, reruns for the first codes that hold a candidate on a ring
+    if closing is None:
+        passes = [(np.zeros(1, dtype=np.intp), least)]
+    else:
+        passes = ((firsts, _forward(tables, closing, electrons, firsts, keep=True)[1])
+                  for firsts in _first_chunks(width, np.unique(first)))
+
+    # backtracking, depth first in chunks of `step`: a partial pattern fixes
+    # slices k..L-1 (path), its row in the pass's first codes, its electrons
+    # in slices 0..k and the DP sum of its tables above slice k
     best = math.inf
-    best_keys: list = []
-    place = 4 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    while stack:
-        k, first, path, e, rest = stack.pop()
-        if k == 0:
-            site_codes = np.zeros((first.size, n), dtype=np.uint8)
-            site_codes[:, slices] = (path[:, :, None] >> shifts) & 3
-            e_cand = _combine(_term_counts(site_codes, lattice), p)
-            emin = float(e_cand.min())
-            if emin < best:
-                best = emin
-                best_keys = []
-            if emin == best:
-                best_keys.append(site_codes[e_cand == best] @ place)
-            continue
-        # a finite DP sum holds at least the slice's electrons, so e stays >= 0
-        e = e - code_electrons[path[:, 0]]
-        rest = tables[k][:, path[:, 0]].T + rest[:, None]
-        dp = least[k - 1][first[:, None], np.arange(n_codes), e[:, None]] + rest
-        row, prev = np.nonzero(dp <= threshold)
-        path = np.concatenate((prev[:, None], path[row]), axis=1)
-        first, e, rest = first[row], e[row], rest[row, prev]
-        for s in range(0, row.size, _FRONTIER_CHUNK):
-            cut = slice(s, s + _FRONTIER_CHUNK)
-            stack.append((k - 1, first[cut], path[cut], e[cut], rest[cut]))
-    keys = np.sort(np.concatenate(best_keys))
+    best_rows: list = []
+    n_candidates = 0
+    shifts = 2 * np.arange(width)
+    every = np.arange(n_codes)
+    step = max(1, _FRONTIER_ENTRIES // n_codes)
+    for firsts, least in passes:
+        mine = np.isin(first, firsts)
+        row, end = np.searchsorted(firsts, first[mine]), last[mine]
+        rest = np.zeros(row.size) if closing is None else closing[firsts[row], end]
+        stack = [(n_slices - 1, row, end[:, None], np.full(row.size, electrons), rest)]
+        while stack:
+            k, row, path, e, rest = stack.pop()
+            if row.size > step:
+                stack.append((k, row[step:], path[step:], e[step:], rest[step:]))
+                row, path, e, rest = row[:step], path[:step], e[:step], rest[:step]
+            if k == 0:
+                n_candidates += row.size
+                if n_candidates > _MAX_MINIMIZERS:
+                    raise ValueError(
+                        f"more than {_MAX_MINIMIZERS} candidate minimizers on this input; "
+                        f"the exact search lists at most {_MAX_MINIMIZERS}")
+                site_codes = np.zeros((row.size, n), dtype=np.uint8)
+                site_codes[:, slices] = (codes[path][:, :, None] >> shifts) & 3
+                e_cand = _combine(_term_counts(site_codes, lattice), p)
+                emin = float(e_cand.min())
+                if emin < best:
+                    best = emin
+                    best_rows = []
+                if emin == best:
+                    best_rows.append(site_codes[e_cand == best])
+                continue
+            # a finite DP sum holds at least the slice's electrons, so e stays >= 0
+            e = e - count[path[:, 0]]
+            rest = tables[k][:, path[:, 0]].T + rest[:, None]
+            off, h = least[k - 1]
+            layer = e[:, None] - off - count
+            inside = (layer >= 0) & (layer < h.shape[1])
+            dp = np.where(inside, h[row[:, None], np.clip(layer, 0, h.shape[1] - 1), every],
+                          np.inf) + rest
+            hit, prev = np.nonzero(dp <= threshold)
+            path = np.concatenate((prev[:, None], path[hit]), axis=1)
+            stack.append((k - 1, row[hit], path, e[hit], rest[hit, prev]))
+    rows = np.concatenate(best_rows)
+    # lexicographic order of the code tuples, site 0 first
+    rows = rows[np.lexsort(rows.T[::-1])]
     minimizers = []
-    for s in range(0, keys.size, 1 << 16):
-        digits = keys[s:s + (1 << 16), None] // place % 4
-        minimizers.extend(Occupation(tuple(row)) for row in digits.tolist())
+    for s in range(0, rows.shape[0], 1 << 16):
+        minimizers.extend(Occupation(tuple(row)) for row in rows[s:s + (1 << 16)].tolist())
     return best, tuple(minimizers)
 
 

@@ -692,10 +692,28 @@ class TestQuiverGround:
         assert report["schedule"] == [2.0, 0.95, 400]
 
     def test_auto_falls_back_to_anneal(self, tmp_path):
-        code, out = run_cli(tmp_path, "quiver-ground", "lx=4", "ly=4",
-                            "electrons=12", "sweeps=200", seed=3)
+        # the exact search's cost rule rejects every ring of width 5 or more
+        code, out = run_cli(tmp_path, "quiver-ground", "lx=5", "ly=5", "boundary=periodic",
+                            "electrons=20", "sweeps=200", seed=3)
         assert code == 0
         assert read_json(out / "report.json")["method"] == "anneal"
+
+    def test_auto_solves_4x4_exactly(self, tmp_path):
+        code, out = run_cli(tmp_path, "quiver-ground", "lx=4", "ly=4",
+                            "boundary=periodic", "electrons=12")
+        assert code == 0
+        report = read_json(out / "report.json")
+        assert report["method"] == "exact"
+        assert report["e_min"] == -78.4
+        assert report["n_degenerate"] == 32
+
+    def test_over_degenerate_input_exits_2_without_outputs(self, tmp_path, capsys):
+        # all couplings 0: each of the C(24, 10) patterns of 3x4 is a minimizer
+        code, out = run_cli(tmp_path, "quiver-ground", "lx=3", "ly=4", "electrons=10",
+                            "u=0", "t=0", "k=0", "j=0")
+        assert code == 2
+        assert not list(out.iterdir())
+        assert capsys.readouterr().err.startswith("error: more than 200000 candidate minimizers")
 
     def test_exact_3x4(self, tmp_path):
         code, out = run_cli(tmp_path, "quiver-ground", "lx=3", "ly=4", "electrons=10")
@@ -706,7 +724,7 @@ class TestQuiverGround:
         assert report["n_degenerate"] == 16
 
     def test_auto_anneal_reruns_are_byte_identical(self, tmp_path):
-        pairs = ("lx=4", "ly=4", "electrons=12", "sweeps=50")
+        pairs = ("lx=6", "ly=6", "electrons=30", "sweeps=50")
         code1, out1 = run_cli(tmp_path, "quiver-ground", *pairs, seed=9, name="a")
         code2, out2 = run_cli(tmp_path, "quiver-ground", *pairs, seed=9, name="b")
         assert code1 == 0 and code2 == 0

@@ -517,6 +517,21 @@ class TestMcChar:
                 vals.append(complex(math.cos(theta), math.sin(theta)))
         assert abs(a[0] - sum(vals) / 2500) <= 1e-13
 
+    def test_streamed_spread_matches_two_pass(self):
+        # 2345 samples, a partial last chunk: the merged chunk sums and
+        # centred sums of squares agree with two passes over every value
+        mu = fn.IntensityMeasure(BOX2, 2.0)
+        sampler = lambda r, n: fn.sample_fractional_config(mu, 0.5, r, size=n)
+        est, se = fn.mc_char(F_MIXED, sampler, 2345, np.random.default_rng(9))
+        thetas = [fn._batch_pairings(F_MIXED, *sampler(stream, take))
+                  for stream, take in zip(np.random.default_rng(9).spawn(3), (1000, 1000, 345))]
+        vals = np.cos(np.concatenate(thetas)) + 1j * np.sin(np.concatenate(thetas))
+        ref = vals.sum() / vals.size
+        ref_se = math.sqrt(float((np.abs(vals - ref) ** 2).sum()) / (vals.size * (vals.size - 1.0)))
+        assert se > 0.0
+        assert abs(est - ref) <= 1e-12 * abs(ref)
+        assert abs(se - ref_se) <= 1e-12 * ref_se
+
     def test_matches_closed_form(self):
         mu = unit_measure(2.0)
         est, se = fn.mc_char(F_PHASE, poisson_batches(mu),

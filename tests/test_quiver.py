@@ -67,6 +67,42 @@ def brute_force_minima(lattice, p, electron_counts):
     return out
 
 
+def dense_least_totals(lattice, p, electrons):
+    """Oracle: the least DP sums total[first, last] of the dense transfer-matrix pass.
+
+    Tables in natural code order from each part's terms; the state
+    (first code on a ring, current code, electrons so far) is swept over
+    every cell of every slice, adding f + T per slice and then the closing
+    table, as the search did before its electron-class blocks.
+    """
+    slices, parts = q._slice_plan(lattice)
+    width = slices.shape[1]
+    n_codes = 4 ** width
+    shifts = 2 * np.arange(width)
+    tables = []
+    for _, (sites, rows), span in parts:
+        codes = np.indices((n_codes,) * len(span)).reshape(len(span), -1)
+        padded = np.zeros((codes.shape[1], lattice.n_sites + 1), dtype=np.uint8)
+        for k, code in zip(span, codes):
+            padded[:, slices[k]] = (code[:, None] >> shifts) & 3
+        tables.append(q._combine(q._count_terms(padded, sites, rows), p).reshape((n_codes,) * len(span)))
+    closing = tables.pop().T if len(parts) > len(slices) else np.zeros((1, n_codes))
+    code_electrons = np.array(q._CODE_ELECTRONS)[(np.arange(n_codes)[:, None] >> shifts) & 3].sum(axis=1)
+    ring = closing.shape[0] > 1
+    reach = np.flatnonzero(code_electrons <= electrons)
+    f = np.full((closing.shape[0], n_codes, electrons + 1), np.inf)
+    f[reach if ring else 0, reach, code_electrons[reach]] = tables[0][reach]
+    for table in tables[1:]:
+        g = np.full_like(f, np.inf)
+        for prev in range(n_codes):
+            np.minimum(g, f[:, prev, None, :] + table[prev, None, :, None], out=g)
+        f = np.full_like(g, np.inf)
+        for d in range(min(2 * width, electrons) + 1):
+            sel = code_electrons == d
+            f[:, sel, d:] = g[:, sel, :electrons + 1 - d]
+    return f[:, :, electrons] + closing
+
+
 def rotation_perm(lattice):
     # 90 degree rotation of a square lattice: (x, y) -> (y, lx - 1 - x)
     assert lattice.lx == lattice.ly
@@ -710,6 +746,9 @@ class TestGroundSearchExact:
         (2, 6, "periodic", 9, (1, 0), -67.19999999999999, 496, None, None),
         (3, 4, "open", 10, (0, 1), -34.0, 16, ".uudd.duuuud", "ddduu.ud.ddu"),
         (3, 4, "periodic", 10, (0, 1), -47.2, 48, ".udud.duduud", "dduudud..udu"),
+        # from the dense pass with the 12-site cap lifted
+        (4, 4, "open", 12, (0, 1), -54.8, 128, "u.uu.d.du.uuudud", "ddduu.ud.d.du.ud"),
+        (4, 4, "periodic", 12, (0, 1), -78.4, 32, ".u.ud.duuuudd.du", "ddduu.ud.d.du.ud"),
     ])
     def test_frozen_minima(self, lx, ly, boundary, electrons, flags, e_ref,
                            count, first, last):
@@ -728,14 +767,79 @@ class TestGroundSearchExact:
             q.ground_search_exact(q.Lattice(2, 2), p, 4)
 
     def test_size_cap_directs_to_annealing(self):
-        # the cap is 12 sites, whatever the shape
-        for shape in [(3, 4), (2, 6)]:
-            assert q.exact_search_fits(q.Lattice(*shape, "open"))
-        for shape in [(4, 4), (13, 1)]:
-            lat = q.Lattice(*shape, "open")
+        # the cost rule admits 4x4 and long strips; wide rings and 6x6 go to annealing
+        for shape, boundary in [((3, 4), "open"), ((2, 6), "open"), ((4, 4), "open"),
+                                ((4, 4), "periodic"), ((13, 1), "open")]:
+            assert q.exact_search_fits(q.Lattice(*shape, boundary))
+        for shape, boundary in [((5, 5), "periodic"), ((6, 6), "open")]:
+            lat = q.Lattice(*shape, boundary)
             assert not q.exact_search_fits(lat)
             with pytest.raises(ValueError, match="transfer-matrix.*anneal"):
                 q.ground_search_exact(lat, canonical_params(1, 0), 14)
+
+    def test_cost_rule_admits_every_small_lattice(self):
+        for lx in range(1, 13):
+            for ly in range(1, 12 // lx + 1):
+                for boundary in ("open", "periodic"):
+                    if boundary == "open" or min(lx, ly) >= 2:
+                        assert q.exact_search_fits(q.Lattice(lx, ly, boundary)), (lx, ly, boundary)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (5, 6), (6, 5), (5, 8), (6, 6), (7, 9)])
+    def test_cost_rule_rejects_wide_rings(self, shape):
+        assert not q.exact_search_fits(q.Lattice(*shape, "periodic"))
+
+    @pytest.mark.parametrize("lx,ly,boundary", [
+        (1, 7, "open"), (2, 5, "open"), (2, 7, "periodic"), (3, 5, "open"),
+        (3, 6, "periodic"), (4, 4, "open"), (4, 4, "periodic"), (4, 5, "periodic"),
+    ])
+    def test_work_peaks_at_half_filling(self, lx, ly, boundary):
+        # the cost rule counts the pass at half filling only
+        lat = q.Lattice(lx, ly, boundary)
+        work = [q._exact_search_work(lat, e) for e in range(2 * lat.n_sites + 1)]
+        assert max(work) == work[lat.n_sites]
+
+    @pytest.mark.parametrize("lx,ly,boundary", [
+        (3, 3, "periodic"), (3, 4, "periodic"), (2, 6, "periodic"), (3, 4, "open"),
+    ])
+    def test_least_totals_match_dense_pass(self, lx, ly, boundary):
+        lat = q.Lattice(lx, ly, boundary)
+        p = canonical_params(0, 1)
+        codes = q._code_classes(min(lx, ly))[0]
+        for electrons in range(2 * lat.n_sites + 1):
+            dense = dense_least_totals(lat, p, electrons)
+            tables, closing = q._transfer_tables(lat, p)
+            if closing is None:
+                total = q._forward(tables, None, electrons)[0]
+            else:
+                total = np.full((codes.size, codes.size), np.inf)
+                for firsts, chunk in q._ring_totals(tables, closing, electrons):
+                    total[firsts] = chunk
+            first = codes if dense.shape[0] > 1 else [0]
+            dense = np.ascontiguousarray(dense[np.ix_(first, codes)])
+            assert dense.tobytes() == np.ascontiguousarray(total).tobytes(), electrons
+
+    def test_equal_tables_built_once(self, monkeypatch):
+        built = []
+        real = q._slice_table
+
+        def counted(lattice, p, group, *slice_sites):
+            built.append(len(slice_sites))
+            return real(lattice, p, group, *slice_sites)
+
+        monkeypatch.setattr(q, "_slice_table", counted)
+        q._transfer_tables(q.Lattice(4, 4, "periodic"), canonical_params(0, 1))
+        assert sorted(built) == [1, 2, 2]
+        built.clear()
+        q._transfer_tables(q.Lattice(4, 4, "open"), canonical_params(0, 1))
+        assert sorted(built) == [1, 2]
+
+    def test_degenerate_input_stops_at_the_minimizer_cap(self):
+        # with every coupling 0, each of the C(32, 16) patterns is a minimizer
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            p = q.QuiverParams(U=0.0, t=0.0, k=0.0, J=0.0, alpha_q=0, beta_q=1)
+        with pytest.raises(ValueError, match=f"more than {q._MAX_MINIMIZERS} "):
+            q.ground_search_exact(q.Lattice(4, 4, "open"), p, 16)
 
     def test_electron_count_validation(self):
         lat = q.Lattice(2, 1, "open")
