@@ -586,7 +586,6 @@ def _cmd_quiver_ground(cfg):
     schedule = None
     if method == "exact":
         e_min, minimizers = quiver.ground_search_exact(lat, qp, p["electrons"])
-        diags = quiver.pairing_diagnostics(minimizers, lat)
         n_degenerate = len(minimizers)
     else:
         temp = p["temp_init"]
@@ -598,10 +597,12 @@ def _cmd_quiver_ground(cfg):
             rng=np.random.default_rng(cfg.seed))
         e_min = result.best_energy
         minimizers = (result.best_occupation,)
-        diags = quiver.pairing_diagnostics(minimizers, lat)
         n_degenerate = 1
     # summary row reports the guaranteed pairing level: minima over the
-    # minimizer set for hole count and adjacency, maximum for cluster size
+    # minimizer set for hole count and adjacency, maximum for cluster size.
+    # They depend on the hole set only, so each distinct one is diagnosed once
+    by_holes = {occ.holes(): occ for occ in minimizers}
+    diags = quiver.pairing_diagnostics(by_holes.values(), lat)
     hole_count = min(d.hole_count for d in diags)
     adjacent = min(d.adjacent_pairs for d in diags)
     diagonal = min(d.diagonal_pairs for d in diags)

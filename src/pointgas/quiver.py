@@ -813,9 +813,10 @@ _FRONTIER_ENTRIES = 1 << 16  # (partial pattern, slice code) pairs scored per nu
 _FIRST_CHUNK = 32           # first-slice codes of a ring per forward pass
 _TABLE_ROWS = 1024          # transfer-table rows gathered per numpy pass
 _PRODUCT_ENTRIES = 1 << 15  # partial sums of one min-plus product per numpy pass
-# listed minimizers: about 300 B each here and 600 B in a quiver-ground
-# run, which also keeps their pairing diagnostics, so that a run at the cap
-# peaks near 200 MB above a bare interpreter
+# listed minimizers: about 350 B each in a quiver-ground run, which
+# diagnoses each distinct hole set once (3x4 open, 6 electrons, all
+# couplings 0: 134,596 minimizers, 44 MB above the library import), so
+# that a run at the cap peaks near 140 MB above a bare interpreter
 _MAX_MINIMIZERS = 200_000
 # Cost rule of the exact search, in multiply-adds of its forward pass (about
 # 4 ns each on a 2-vCPU Linux VM, Python 3.11, numpy 2.4).  One min-plus
@@ -993,8 +994,8 @@ def _forward(tables, closing, electrons: int, firsts=None, keep: bool = False):
 
     Returns (total, least): total[f, last] is the least DP sum with
     `electrons` in all (inf where none); least lists (off, h) for slices
-    0..L-2 if keep, with a ring's slice 0 as h[f, 0, code] = T_0 of the
-    first code, else None.
+    0..L-2 if keep, with None for a ring's slice 0, which holds the first
+    code, else None.
     """
     n_codes = tables[0].size
     width = (n_codes.bit_length() - 1) // 2
@@ -1006,10 +1007,8 @@ def _forward(tables, closing, electrons: int, firsts=None, keep: bool = False):
         least = [(0, h)]
     else:
         off = int(count[firsts[0]])
-        diag = np.full((firsts.size, 1, n_codes), np.inf)
-        diag[np.arange(firsts.size), 0, firsts] = tables[0][firsts]
         h = (tables[0][firsts, None] + tables[1][firsts])[:, None, :]
-        least = [(0, diag), (off, h)]
+        least = [None, (off, h)]
     for k, n_layers, blocks in _pass_blocks(width, n_slices, electrons, off, firsts is not None):
         table = tables[k]
         final = k == n_slices - 1
@@ -1066,8 +1065,8 @@ def _exact_search_bytes(lattice: Lattice) -> int:
     n_slices, width = slices.shape
     top, n_codes = 2 * width, 4 ** width
     ring = len(parts) > n_slices
-    # a ring keeps one layer for each of slices 0 and 1, an open strip for slice 0
-    layers = (2 if ring else 1) + sum(top * k + 1 for k in range(1, n_slices - 1 - ring))
+    # a ring keeps one layer for slice 1, an open strip one for slice 0
+    layers = 1 + sum(top * k + 1 for k in range(1, n_slices - 1 - ring))
     rows = min(math.comb(top, width), _FIRST_CHUNK) if ring else 1
     tables = sum(n_codes ** key[0] for key in {key for key, _, _ in parts})
     return 8 * (tables + rows * layers * n_codes)
@@ -1237,6 +1236,15 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
                 continue
             # a finite DP sum holds at least the slice's electrons, so e stays >= 0
             e = e - count[path[:, 0]]
+            if least[k - 1] is None:
+                # a ring's slice 0 holds the pass's first code, and the
+                # electrons of slice 1's state already match its count
+                code = firsts[row]
+                dp = tables[0][code] + (tables[1][code, path[:, 0]] + rest)
+                hit = np.flatnonzero(dp <= threshold)
+                path = np.concatenate((code[hit, None], path[hit]), axis=1)
+                stack.append((0, row[hit], path, e[hit], rest[hit]))
+                continue
             rest = tables[k][:, path[:, 0]].T + rest[:, None]
             off, h = least[k - 1]
             layer = e[:, None] - off - count

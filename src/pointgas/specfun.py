@@ -306,9 +306,14 @@ def mixing_pdf(alpha, tau):
     return float(_mixing_pdf_many(alpha, np.array([float(tau)]))[0])
 
 
+@lru_cache(maxsize=8)
+def _legendre(n_nodes):
+    return roots_legendre(n_nodes)
+
+
 def _gl_panels(edges, n_nodes=24):
     # composite Gauss-Legendre nodes/weights over the given panel edges
-    xg, wg = roots_legendre(n_nodes)
+    xg, wg = _legendre(n_nodes)
     e = np.asarray(edges, dtype=float)
     half = 0.5 * (e[1:] - e[:-1])
     mid = 0.5 * (e[1:] + e[:-1])

@@ -185,6 +185,44 @@ class TestFieldIntegral:
         ref = complex((np.outer(w, w).ravel() * vals).sum() * 0.5 * 0.25)
         assert abs(fn.field_integral(f, box) - ref) < 1e-12
 
+    def test_narrow_cosine_vs_dense_gauss_legendre(self):
+        # about 100 periods on the unit interval (the integral is near
+        # J_0(2) - 1); the reference is 2000 panels of 32 nodes
+        f = fn.TestFunction(({"shape": "cosine", "center": (0.3,), "width": 0.01,
+                              "amplitude": 2.0},))
+        x, w = np.polynomial.legendre.leggauss(32)
+        edges = np.linspace(0.0, 1.0, 2001)
+        half = 0.5 * np.diff(edges)
+        nodes = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * x).ravel()
+        ref = complex(((half[:, None] * w).ravel()
+                       * (np.exp(1j * f(nodes[:, None])) - 1.0)).sum())
+        assert abs(fn.field_integral(f, BOX1) - ref) < 1e-12
+
+    def test_gaussian_3d_vs_gauss_legendre(self):
+        # the rule's second round here holds 128**3 = 2**21 nodes, the cap
+        f = fn.TestFunction(({"shape": "gaussian", "center": (0.4, 0.5, 0.6),
+                              "width": 0.2, "amplitude": 1.5},))
+        x, w = np.polynomial.legendre.leggauss(96)
+        x, w = 0.5 * (x + 1.0), 0.5 * w
+        pts = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+        wts = (w[:, None, None] * w[:, None] * w).ravel()
+        ref = complex((wts * (np.exp(1j * f(pts)) - 1.0)).sum())
+        assert abs(fn.field_integral(f, fn.Box((1.0, 1.0, 1.0))) - ref) < 1e-12
+
+    def test_indicator_3d(self):
+        f = fn.TestFunction(({"shape": "indicator", "center": (0.3, 0.5, 0.5),
+                              "width": 0.4, "amplitude": 0.9},))
+        # support [0.1, 0.5) x [0.3, 0.7)^2: volume 0.064
+        expected = 0.064 * (cmath.exp(0.9j) - 1.0)
+        assert abs(fn.field_integral(f, fn.Box((1.0, 1.0, 1.0))) - expected) < 1e-15
+
+    def test_3d_past_the_node_cap_raises(self):
+        # 100 periods per axis are not resolved by 128 nodes per axis
+        f = fn.TestFunction(({"shape": "cosine", "center": (0.3, 0.3, 0.3),
+                              "width": 0.01, "amplitude": 2.0},))
+        with pytest.raises(fn.QuadratureError, match=r"field integral failed to converge"):
+            fn.field_integral(f, fn.Box((1.0, 1.0, 1.0)))
+
 
 F_GAUSS = fn.TestFunction(
     ({"shape": "gaussian", "center": (0.4,), "width": 0.12, "amplitude": 1.3},))
@@ -192,16 +230,31 @@ F_GAUSS_2D = fn.TestFunction(
     ({"shape": "gaussian", "center": (0.4, 0.2), "width": 0.15, "amplitude": 1.5},))
 
 
-@pytest.mark.parametrize("evaluate", [
-    lambda: fn.field_integral(F_GAUSS, BOX1),
-    lambda: fn.field_integral(F_GAUSS_2D, fn.Box((1.0, 0.5))),
-    lambda: fn.char_compound(F_PHASE, unit_measure(), fn.MixingMeasure.lognormal(0.8)),
-], ids=["field-1d", "field-2d", "lognormal"])
-def test_quadrature_gate_reports_the_estimate(monkeypatch, evaluate):
-    # every adaptive integral runs through nquad and is gated on its estimate
+def _midpoint_rule_capped(monkeypatch):
+    # the field rule at one node per panel, capped at 64 nodes: its last two
+    # rounds differ by far more than the 1e-7 gate
+    monkeypatch.setattr(fn, "_FIELD_ORDER", 1)
+    monkeypatch.setattr(fn, "_FIELD_NODES", 64)
+
+
+def _nquad_estimate_one(monkeypatch):
     monkeypatch.setattr(fn.integrate, "nquad",
                         lambda *args, **kwargs: (0.0, 1.0, {"neval": 0}))
-    with pytest.raises(fn.QuadratureError, match=r"error estimate 1\.00e\+00"):
+
+
+@pytest.mark.parametrize("force, evaluate, message", [
+    (_midpoint_rule_capped, lambda: fn.field_integral(F_GAUSS, BOX1),
+     r"field integral failed to converge \(error estimate \d\.\d\de-0[1-6]\)"),
+    (_midpoint_rule_capped, lambda: fn.field_integral(F_GAUSS_2D, fn.Box((1.0, 0.5))),
+     r"field integral failed to converge \(error estimate \d\.\d\de-0[1-6]\)"),
+    (_nquad_estimate_one,
+     lambda: fn.char_compound(F_PHASE, unit_measure(), fn.MixingMeasure.lognormal(0.8)),
+     r"error estimate 1\.00e\+00"),
+], ids=["field-1d", "field-2d", "lognormal"])
+def test_quadrature_gate_reports_the_estimate(monkeypatch, force, evaluate, message):
+    # every field integral and adaptive integral is gated on its error estimate
+    force(monkeypatch)
+    with pytest.raises(fn.QuadratureError, match=message):
         evaluate()
 
 
