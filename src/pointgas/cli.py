@@ -339,9 +339,9 @@ def emit_svg_lines(table, x_col, y_col, group_col):
 # Input caps: larger inputs exit 2 before any allocation.  Each keeps the
 # peak RSS above a bare interpreter near 200 MB, as measured on a 2-vCPU
 # Linux VM (Python 3.11, numpy 2.4).
-# girard-limit: the doubled run's FFT grid of 16 n_max points peaks at about
-# 190 MB; its LU over the occupied modes (about length / sqrt(beta) of them,
-# whatever n_max is) at about 160 MB for 1500 modes, 205 MB with that grid.
+# girard-limit: n_max bounds the occupied_modes arrays (12 MB at the cap); the
+# modes (about length / sqrt(beta)) set the Nystrom nodes: 1500 at width =
+# length take 1024 nodes and 190 MB; near 2000 some take 2048 nodes, 360 MB.
 _GIRARD_N_MAX = 100_000
 _GIRARD_MODES_MAX = 1500
 # ml-weights n_max: the (mixing nodes, n_max + 1) Poisson table peaks at
@@ -405,16 +405,15 @@ def _cmd_functional_check(cfg):
     for scale in np.linspace(0.2, 1.0, 9):
         amp = float(p["amp"] * scale)
         f = _indicator(amp, p["width"])
+        a = functionals.field_integral(f, box)
         if cfg.parameters["case"] == "exp-mixture":
             # independent direct quadrature vs the closed-form mixture value
-            a = functionals.field_integral(f, box)
             ref = functionals.char_compound(
                 f, unit, functionals.MixingMeasure.exponential(p["rho_bar"]))
             quad_val = _exp_mixture_quad(a, p["rho_bar"])
         else:
             # mixing-law quadrature vs the contour evaluation
             mu = functionals.IntensityMeasure(box, p["rho_bar"])
-            a = functionals.field_integral(f, box)
             taus, w = specfun.mixing_quadrature(p["alpha"])
             quad_val = complex((w * np.exp(taus * (p["rho_bar"] * a))).sum())
             ref = functionals.char_fractional(f, mu, p["alpha"])
@@ -489,8 +488,8 @@ def _cmd_sample_measure(cfg):
 def _cmd_girard_limit(cfg):
     p = cfg.parameters
     if p["n_max"] > _GIRARD_N_MAX:
-        raise ValueError(f"n_max must not exceed {_GIRARD_N_MAX}: the doubled run's "
-                         f"FFT grid would need more than about 200 MB")
+        raise ValueError(f"n_max must not exceed {_GIRARD_N_MAX}: it bounds the "
+                         f"doubled run's mode arrays of occupied_modes")
     if not 0.0 < p["width"] <= p["length"]:
         raise ValueError("width must lie in (0, length]")
     if any(b <= 0.0 for b in p["betas"]):

@@ -6,9 +6,9 @@ The measures covered: finite-N uniform configurations, the Poisson measure
 with constant intensity, compound (mixed-intensity) Poisson measures, and
 the fractional generalization whose functional is a Mittag-Leffler
 composition. Test functions form a closed parametric family (sums of
-indicator, gaussian and cosine bumps), and every functional reads the one
-field integral int (e^{if} - 1) dx: a composite Gauss-Legendre tensor rule
-on the panels between the bumps' breakpoints, exact for indicators.
+indicator, gaussian and cosine bumps), and every functional reads e^{if} - 1
+through one composite Gauss-Legendre panel rule (the field integral as its
+tensor sum, the circle's determinant functional as a Nystrom determinant).
 """
 
 from __future__ import annotations
@@ -295,6 +295,7 @@ class GroundStateField:
 _FIELD_ORDER = 16       # Gauss-Legendre nodes per panel and axis of a smooth f
 _FIELD_NODES = 1 << 21  # node cap of the field rule
 _FIELD_SLAB = 1 << 16   # nodes per numpy pass: about 3 MB of temporaries in 3-D
+_GIRARD_NODES = 2048    # node cap of the Nystrom determinant, nodes x nodes LU
 
 
 def _breakpoints(f, box, d):
@@ -308,6 +309,13 @@ def _breakpoints(f, box, d):
                 "cosine": (c,)}[t["shape"]]
         edges.update(p for p in cand if 0.0 < p < box.sides[d])
     return np.array(sorted(edges))
+
+
+def _panel_rounds(edges, max_nodes):
+    # per-axis rules of _FIELD_ORDER nodes a panel, all panels halved a round
+    while math.prod(_FIELD_ORDER * (e.size - 1) for e in edges) <= max_nodes:
+        yield [specfun._gl_panels(e, _FIELD_ORDER) for e in edges]
+        edges = [np.insert(e, np.arange(1, e.size), 0.5 * (e[:-1] + e[1:])) for e in edges]
 
 
 def _tensor_rule(f, axes):
@@ -356,12 +364,11 @@ def field_integral(f, box):
     if f.indicator_only:
         return _tensor_rule(f, [specfun._gl_panels(e, 1) for e in edges])
     value = err = math.inf
-    while math.prod(_FIELD_ORDER * (e.size - 1) for e in edges) <= _FIELD_NODES:
-        new = _tensor_rule(f, [specfun._gl_panels(e, _FIELD_ORDER) for e in edges])
+    for axes in _panel_rounds(edges, _FIELD_NODES):
+        new = _tensor_rule(f, axes)
         err, value = abs(new - value), new
         if err <= max(1e-12, 1e-11 * abs(new)):
             return new
-        edges = [np.insert(e, np.arange(1, e.size), 0.5 * (e[:-1] + e[1:])) for e in edges]
     if not err <= 1e-7:
         raise QuadratureError(f"field integral failed to converge (error estimate {err:.2e})")
     return value
@@ -381,9 +388,7 @@ def char_finite_NV(f, n, box):
     """((1/V) int e^{if} dx)^N for N independent uniform points on the box."""
     if n < 1 or n != int(n):
         raise ValueError(f"N must be a positive integer, got {n!r}")
-    v = box.volume
-    inner = 1.0 + field_integral(f, box) / v
-    return inner ** int(n)
+    return (1.0 + field_integral(f, box) / box.volume) ** int(n)
 
 
 def char_compound(f, mu_unit, xi):
@@ -459,9 +464,7 @@ def weights_fractional(alpha, m, n_max):
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
     n = np.arange(int(n_max) + 1)
     if m == 0.0:
-        p = np.zeros(n.size)
-        p[0] = 1.0
-        return p
+        return (n == 0).astype(float)
     if alpha == 1.0:
         return np.exp(n * math.log(m) - m - gammaln(n + 1.0))
     taus, w = specfun.mixing_quadrature(alpha)
@@ -542,29 +545,37 @@ def girard_functional(f, params):
     """Grand-canonical determinant functional det(I - A n)^{-1} on the
     truncated mode lattice |n| <= n_max.
 
-    A is the mode matrix of e^{if} - 1 from a length-8*n_max trapezoid
-    (DFT) rule; n is the Bose occupation diagonal for dispersion k^2 and
-    the density-matched chemical potential. Unoccupied modes give identity
-    columns, so only the principal minor on GirardParams.occupied_modes is
-    built and LU-factored; det(I - A n) = det(I - n A) fixes no operator
-    order. A pole of the functional raises SingularFunctionalError.
+    A is the mode matrix of h = e^{if} - 1 and n the Bose occupations on
+    occupied_modes. By Sylvester's identity this is the Nystrom determinant
+    det(I - diag(w h) G), G(x, y) = (1/L) sum_n occ_n e^{i k_n (x - y)}, on
+    the field rule's panels less the nodes where h = 0 (Bornemann 2010,
+    Math. Comp. 79:871), the zero mode (occupation rho_bar L) as a rank-one
+    term. Panels are halved until two rounds agree to 1e-12 relative;
+    QuadratureError past _GIRARD_NODES nodes, SingularFunctionalError at a pole.
     """
-    m_grid = max(8 * int(params.n_max), 64)
-    x = (np.arange(m_grid) * (params.circle_length / m_grid))[:, None]
-    hhat = np.fft.fft(np.exp(1j * f(x)) - 1.0) / m_grid
+    length = params.circle_length
     modes, occ = params.occupied_modes()
-    b_mat = np.eye(modes.size) - hhat[(modes[:, None] - modes[None, :]) % m_grid] * occ
-    lu, piv = linalg.lu_factor(b_mat)
-    diag = np.diag(lu)
-    if not np.all(np.isfinite(diag)):
-        raise SingularFunctionalError("determinant evaluation produced non-finite pivots")
-    det = complex(np.prod(diag))
-    if np.sum(piv != np.arange(modes.size)) % 2:
-        det = -det
-    if abs(det) < 1e-100:
-        raise SingularFunctionalError(
-            f"functional pole: det(I - A n) = {det:.3e}")
-    return 1.0 / det
+    occ0, occ = float(occ[modes == 0].sum()) / length, occ[modes != 0] / length
+    k = 2.0 * math.pi * modes[modes != 0] / length
+    det = math.inf
+    for (x, w), in _panel_rounds([_breakpoints(f, Box((length,)), 0)], _GIRARD_NODES):
+        wh = w * (np.exp(1j * f(x[:, None])) - 1.0)
+        x, wh = x[wh != 0.0], wh[wh != 0.0]
+        e = np.exp(1j * np.outer(x, k))
+        lu, piv = linalg.lu_factor(np.eye(x.size) - wh[:, None] * ((e * occ) @ e.conj().T))
+        diag = np.diag(lu)
+        if not np.all(np.isfinite(diag)):
+            raise SingularFunctionalError("determinant evaluation produced non-finite pivots")
+        prev, det = det, complex(np.prod(diag))
+        if np.sum(piv != np.arange(x.size)) % 2:
+            det = -det
+        # the zero mode's rank-one term occ0 wh 1^T, by the determinant lemma
+        det *= 1.0 - occ0 * complex(linalg.lu_solve((lu, piv), wh).sum())
+        if not abs(det) >= 1e-100:
+            raise SingularFunctionalError(f"functional pole: det(I - A n) = {det:.3e}")
+        if abs(det - prev) <= 1e-12 * abs(det):
+            return 1.0 / det
+    raise QuadratureError(f"girard determinant failed to converge within {_GIRARD_NODES} nodes")
 
 
 # ---------------------------------------------------------------------------

@@ -520,6 +520,15 @@ class TestGirardLimit:
         dists = [float(r["limit_distance"]) for r in rows]
         assert dists[1] < dists[0] and dists[2] < dists[1]
 
+    def test_defaults_truncation_is_mode_truncation_only(self, tmp_path):
+        # at the default betas n_max = 32 already holds every occupied mode
+        # (59 at beta = 0.02), so doubling n_max moves no value
+        code, out = run_cli(tmp_path, "girard-limit")
+        assert code == 0
+        header, rows = read_csv(out / "girard.csv")
+        assert len(rows) == 5
+        assert all(float(r["truncation"]) <= 1e-12 for r in rows)
+
     def test_beta_validation(self, tmp_path):
         code, _ = run_cli(tmp_path, "girard-limit", "betas=5,-1")
         assert code == 2

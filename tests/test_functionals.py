@@ -630,15 +630,18 @@ class TestBatchPairings:
             np.testing.assert_array_equal(single.points, points)
 
 
-def dense_girard(f, params, ordering):
-    # the determinant over all 2 n_max + 1 modes, for either operator order
-    n_max = params.n_max
-    m_grid = max(8 * n_max, 64)
-    x = (np.arange(m_grid) * (params.circle_length / m_grid))[:, None]
-    hhat = np.fft.fft(np.exp(1j * f(x)) - 1.0) / m_grid
-    idx = np.arange(-n_max, n_max + 1)
-    a_mat = hhat[(idx[:, None] - idx[None, :]) % m_grid]
-    k = 2.0 * math.pi * idx / params.circle_length
+def dense_girard(amp, lo, hi, params, ordering):
+    # the determinant over all 2 n_max + 1 modes, for either operator order,
+    # with the closed-form Fourier coefficients of the indicator amp on
+    # [lo, hi): A_nm = (e^{i amp} - 1)/L int_lo^hi e^{-i (k_n - k_m) x} dx
+    length = params.circle_length
+    idx = np.arange(-params.n_max, params.n_max + 1)
+    k = 2.0 * math.pi * idx / length
+    dk = 2.0 * math.pi * np.subtract.outer(idx, idx) / length
+    safe = np.where(dk == 0.0, 1.0, dk)
+    span = np.where(dk == 0.0, hi - lo,
+                    (np.exp(-1j * safe * hi) - np.exp(-1j * safe * lo)) / (-1j * safe))
+    a_mat = (cmath.exp(1j * amp) - 1.0) / length * span
     with np.errstate(over="ignore"):
         occ = 1.0 / np.expm1(params.beta * (k * k - params.mu_chem))
     if ordering == "occupation_right":
@@ -655,12 +658,32 @@ class TestGirardFunctional:
     @pytest.mark.parametrize("n_max", [32, 128, 512])
     @pytest.mark.parametrize("ordering", ["occupation_right", "occupation_left"])
     def test_minor_matches_dense_determinant(self, n_max, ordering):
+        # F_PI_HALF is pi on [0, 0.5); the Nystrom rule stops once two
+        # rounds agree to 1e-12 relative
         for beta in GIRARD_BETAS:
             p = fn.GirardParams(1.0, n_max, beta, 1.0)
-            ref = dense_girard(F_PI_HALF, p, ordering)
-            assert abs(fn.girard_functional(F_PI_HALF, p) - ref) <= 1e-14 * abs(ref)
+            ref = dense_girard(math.pi, 0.0, 0.5, p, ordering)
+            assert abs(fn.girard_functional(F_PI_HALF, p) - ref) <= 1e-12 * abs(ref)
 
-    def test_lu_runs_over_occupied_modes_only(self, monkeypatch):
+    def test_many_occupied_modes_match_dense_determinant(self):
+        # beta = 1e-4 occupies 847 of the 2001 modes
+        p = fn.GirardParams(1.0, 1000, 1e-4, 1.0)
+        assert p.occupied_modes()[0].size == 847
+        ref = dense_girard(math.pi, 0.0, 0.5, p, "occupation_right")
+        assert abs(fn.girard_functional(F_PI_HALF, p) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("rho_bar", [1e4, 1e6])
+    def test_large_zero_mode_occupation_matches_dense_determinant(self, rho_bar):
+        # the zero mode holds rho_bar L particles; split off by the
+        # determinant lemma it cannot swamp the rest of the kernel
+        for beta in (0.02, 5.0):
+            p = fn.GirardParams(1.0, 32, beta, rho_bar)
+            ref = dense_girard(math.pi, 0.0, 0.5, p, "occupation_right")
+            assert abs(fn.girard_functional(F_PI_HALF, p) - ref) <= 1e-12 * abs(ref)
+
+    def test_lu_size_does_not_grow_with_n_max(self, monkeypatch):
+        # the Nystrom matrix lives on the nodes inside the support of
+        # e^{if} - 1, so n_max = 512 factors the same sizes as n_max = 32
         sizes = []
         lu_factor = fn.linalg.lu_factor
 
@@ -669,11 +692,22 @@ class TestGirardFunctional:
             return lu_factor(b_mat)
 
         monkeypatch.setattr(fn.linalg, "lu_factor", spy)
+        per_n_max = []
         for n_max in (32, 512):
+            sizes.clear()
             for beta in GIRARD_BETAS:
                 fn.girard_functional(F_PI_HALF, fn.GirardParams(1.0, n_max, beta, 1.0))
-        counts = [59, 37, 19, 9, 3]
-        assert sizes == [(c, c) for c in counts] * 2
+            per_n_max.append(list(sizes))
+        assert per_n_max[0] == per_n_max[1]
+        assert per_n_max[0] == [(16, 16), (32, 32)] * len(GIRARD_BETAS)
+
+    def test_node_cap_raises(self, monkeypatch):
+        # beta = 1e-4 agrees once 256 nodes fall on [0, 0.5); a 256-node cap
+        # on [0, 1) stops the rounds at 128 there, one round short
+        monkeypatch.setattr(fn, "_GIRARD_NODES", 256)
+        with pytest.raises(fn.QuadratureError,
+                           match="girard determinant failed to converge within 256 nodes"):
+            fn.girard_functional(F_PI_HALF, fn.GirardParams(1.0, 1000, 1e-4, 1.0))
 
     def test_occupied_modes_hold_the_zero_mode(self):
         modes, occ = fn.GirardParams(1.0, 32, 5.0, 1.0).occupied_modes()
