@@ -292,7 +292,7 @@ class GroundStateField:
 # field integrals
 
 
-_FIELD_ORDER = 16       # Gauss-Legendre nodes per panel and axis of a smooth f
+_FIELD_ORDER = 16       # Gauss-Legendre nodes per panel and axis of a panel round
 _FIELD_NODES = 1 << 21  # node cap of the field rule
 _FIELD_SLAB = 1 << 16   # nodes per numpy pass: about 3 MB of temporaries in 3-D
 _GIRARD_NODES = 2048    # node cap of the Nystrom determinant, nodes x nodes LU
