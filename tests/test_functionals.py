@@ -681,9 +681,10 @@ class TestGirardFunctional:
             ref = dense_girard(math.pi, 0.0, 0.5, p, "occupation_right")
             assert abs(fn.girard_functional(F_PI_HALF, p) - ref) <= 1e-12 * abs(ref)
 
-    def test_lu_size_does_not_grow_with_n_max(self, monkeypatch):
-        # the Nystrom matrix lives on the nodes inside the support of
-        # e^{if} - 1, so n_max = 512 factors the same sizes as n_max = 32
+    def test_lu_runs_over_occupied_modes_only(self, monkeypatch):
+        # unoccupied modes add nothing to the LU: the Nystrom matrix lives on
+        # the nodes inside the support of e^{if} - 1, so n_max = 512 factors
+        # the same sizes as n_max = 32
         sizes = []
         lu_factor = fn.linalg.lu_factor
 
