@@ -8,11 +8,12 @@ three layers:
   with exhaustive checks of the anticommutation relations, the
   current-operator commutator identities, and the directed-hop composition
   laws (`build_fermion_ops`, `current_ops`, `check_commutators`,
-  `check_composition`).  Every c and c† flips exactly the Fock bit of its
-  own mode, so each is read into one (weights, masks) row; hops c†_b c_a
-  are products of those rows, and the CAR, commutator and composition
-  residuals share one gather over all site tuples of a chunk at once,
-  exact in Gaussian-integer arithmetic;
+  `check_composition`).  A `FermionOps` is its column table, built from
+  the definition: c[x] flips only the Fock bit of mode x, so it is one row
+  of weights, and its sparse matrices are views of the table.  Hops c†_b
+  c_a are products of rows, and the CAR, commutator and composition
+  residuals share one gather over all site tuples of a chunk, exact in
+  Gaussian-integer arithmetic;
 * the 4x4 single-vertex representation of the directed hop maps
   (`vertex_matrices`);
 * a diagonal stationary energy on occupation patterns with exact ground
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -316,16 +317,29 @@ class Occupation:
 
 @dataclass(frozen=True)
 class FermionOps:
-    """Jordan-Wigner annihilation/creation operators for every lattice mode."""
+    """Jordan-Wigner operators of every lattice mode, held as one column table.
+
+    `weights` is the (n_modes, 4**n_sites) table of the annihilators: column
+    col of c[x] holds weights[x, col] in Fock row col ^ bit(x), with bit(x) =
+    1 << (n_modes - 1 - x) (mode 0 is the most significant bit), so no table
+    can hold an operator that moves another bit.  `c` and `cdag` are sparse
+    views of the table.
+    """
 
     lattice: Lattice
-    c: tuple
-    cdag: tuple
-    dim: int
+    weights: np.ndarray = field(compare=False)
+
+    def __post_init__(self):
+        if np.shape(self.weights) != (self.n_modes, self.dim):
+            raise ValueError(f"weights must have shape ({self.n_modes}, {self.dim})")
 
     @property
     def n_modes(self) -> int:
         return 2 * self.lattice.n_sites
+
+    @property
+    def dim(self) -> int:
+        return 1 << self.n_modes
 
     def mode(self, site: int, spin: int) -> int:
         if not 0 <= site < self.lattice.n_sites:
@@ -336,16 +350,31 @@ class FermionOps:
 
     @cached_property
     def _tables(self):
-        """Column tables (`_column_table`) of every c, then every cdag, then
-        the identity: (weights, masks) with row x < n_modes c[x], row
-        n_modes + x cdag[x] and row 2 n_modes the identity (mask 0).  Mode x
-        flips Fock bit 1 << (n_modes - 1 - x); mode 0 is the most
-        significant bit of the kron order.
+        """Column tables of every c, then every cdag, then the identity:
+        (weights, masks) with row x < n_modes c[x], row n_modes + x cdag[x]
+        and row 2 n_modes the identity (mask 0).  cdag[x] is the adjoint of
+        c[x], so its column col holds conj(weights[x, col ^ bit(x)]).
         """
         bits = 1 << (self.n_modes - 1 - np.arange(self.n_modes))
-        masks = np.concatenate((bits, bits, [0]))
-        ops = self.c + self.cdag + (sparse.identity(self.dim, format="csc"),)
-        return np.array([_column_table(op, self.dim, m) for op, m in zip(ops, masks)]), masks
+        dag = self.weights[np.arange(self.n_modes)[:, None], np.arange(self.dim) ^ bits[:, None]]
+        return (np.vstack((self.weights, dag.conj(), np.ones(self.dim))),
+                np.concatenate((bits, bits, [0])))
+
+    def _views(self, first: int) -> tuple:
+        """csr matrices, with no stored zeros, of the n_modes table rows from `first`."""
+        tables, masks = self._tables
+        cols, rows = np.arange(self.dim), slice(first, first + self.n_modes)
+        return tuple(sparse.csr_matrix((w[w != 0], ((cols ^ m)[w != 0], cols[w != 0])),
+                                       shape=(self.dim, self.dim))
+                     for w, m in zip(tables[rows], masks[rows]))
+
+    @cached_property
+    def c(self) -> tuple:
+        return self._views(0)
+
+    @cached_property
+    def cdag(self) -> tuple:
+        return self._views(self.n_modes)
 
     def car_residual(self) -> float:
         """Worst Frobenius deviation from the canonical anticommutation relations.
@@ -354,9 +383,6 @@ class FermionOps:
         and (c_i, cdag_j) are exactly the pairs x <= y of rows of `_tables`.
         Each anticommutator XY + YX, minus the identity row when Y is X's
         adjoint, is one sum of `_worst_residual`, exact in small integers.
-        Raises ValueError for an operator with more than one entry in a
-        column, or one that moves bits other than its mode's (only a
-        hand-built FermionOps can hold either).
         """
         weights, masks = self._tables
         x, y = np.triu_indices(2 * self.n_modes)
@@ -366,32 +392,20 @@ class FermionOps:
 
 
 def build_fermion_ops(lattice: Lattice) -> FermionOps:
-    """Exact sparse fermion operators, one mode per (site, spin).
+    """Exact fermion operators, one mode per (site, spin), as their column table.
 
-    The Jordan-Wigner string runs over modes in site-major order
-    (mode = 2 * site + spin), which fixes all sign conventions; any
-    consistent ordering satisfies the same algebra.
+    c[x] empties an occupied mode x with sign (-1)^(occupied modes before x):
+    the Jordan-Wigner string runs over modes in site-major order (mode =
+    2 * site + spin), which fixes all sign conventions.
     """
-    n = lattice.n_sites
-    if n > _MAX_ALGEBRA_SITES:
-        raise ValueError(
-            f"lattice has {n} sites; exact Fock operators are capped at "
-            f"{_MAX_ALGEBRA_SITES} sites (dimension 4096)"
-        )
-    n_modes = 2 * n
-    eye2 = sparse.identity(2, dtype=complex, format="csr")
-    zmat = sparse.csr_matrix(np.diag([1.0 + 0j, -1.0 + 0j]))
-    # annihilator in the (empty, occupied) single-mode basis
-    lower = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    ann = []
-    for mode in range(n_modes):
-        acc = None
-        for pos in range(n_modes):
-            factor = zmat if pos < mode else lower if pos == mode else eye2
-            acc = factor if acc is None else sparse.kron(acc, factor, format="csr")
-        ann.append(acc)
-    cdag = tuple(op.conj().T.tocsr() for op in ann)
-    return FermionOps(lattice=lattice, c=tuple(ann), cdag=cdag, dim=2 ** n_modes)
+    if lattice.n_sites > _MAX_ALGEBRA_SITES:
+        raise ValueError(f"lattice has {lattice.n_sites} sites; exact Fock operators are capped "
+                         f"at {_MAX_ALGEBRA_SITES} sites (dimension 4096)")
+    n_modes = 2 * lattice.n_sites
+    occupied = (np.arange(1 << n_modes) >> (n_modes - 1 - np.arange(n_modes))[:, None]) & 1
+    before = np.cumsum(occupied, axis=0) - occupied
+    weights = (occupied * (-1) ** before).astype(complex)
+    return FermionOps(lattice=lattice, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -431,27 +445,6 @@ class AlgebraReport:
     max_residual: float
     residuals: dict
     n_checks: int
-
-
-def _column_table(op, dim: int, mask: int):
-    """Weights of an operator whose column col holds at most one entry, in
-    Fock row col ^ mask.
-
-    Raises ValueError for a column with more than one entry, or with its
-    entry in any other row.
-    """
-    csc = sparse.csc_matrix(op)
-    csc.sum_duplicates()
-    csc.eliminate_zeros()
-    counts = np.diff(csc.indptr)
-    if counts.max(initial=0) > 1:
-        raise ValueError("operator has more than one entry in a column")
-    cols = np.flatnonzero(counts)
-    if np.any(csc.indices[csc.indptr[cols]] != cols ^ mask):
-        raise ValueError("operator does not move exactly the bits of its modes")
-    weight = np.zeros(dim, dtype=complex)
-    weight[cols] = csc.data[csc.indptr[cols]]
-    return weight
 
 
 def _hop_tables(ops: FermionOps):

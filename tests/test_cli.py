@@ -529,6 +529,19 @@ class TestGirardLimit:
         assert len(rows) == 5
         assert all(float(r["truncation"]) <= 1e-12 for r in rows)
 
+    @pytest.mark.parametrize("pairs, calls", [((), 5), (("n_max=4", "betas=0.02"), 2)])
+    def test_doubled_run_reuses_equal_modes(self, tmp_path, monkeypatch, pairs, calls):
+        # at the defaults the doubled run occupies exactly the base run's
+        # modes, so its determinant is the base one; at n_max=4 the base
+        # run is truncated and both are computed
+        made = []
+        girard = functionals.girard_functional
+        monkeypatch.setattr(functionals, "girard_functional",
+                            lambda f, params: made.append(params) or girard(f, params))
+        code, _ = run_cli(tmp_path, "girard-limit", *pairs)
+        assert code == 0
+        assert len(made) == calls
+
     def test_beta_validation(self, tmp_path):
         code, _ = run_cli(tmp_path, "girard-limit", "betas=5,-1")
         assert code == 2
