@@ -80,7 +80,7 @@ class Ensemble:
 
     def quadrature(self, n_nodes=64):
         """Nodes and weights of int nu(x) (.) dx; n_nodes, the size of the
-        lognormal law's Gauss-Hermite rule, must lie in [8, 256]."""
+        lognormal law's Gauss-Hermite rule, must lie in [8, 256] and keep its nodes finite."""
         # numpy's hermgauss returns NaN or zero weights from about 400 nodes,
         # and its companion-matrix eigensolve grows as n^2
         if not 8 <= n_nodes <= 256:
@@ -93,7 +93,10 @@ class Ensemble:
         sigma = self.nu.params[0]
         u, w = _hermgauss(int(n_nodes))
         # ln x normal with mean sigma^2, variance sigma^2: mode at x = 1
-        x = np.exp(sigma * sigma + math.sqrt(2.0) * sigma * u)
+        with np.errstate(over="ignore"):
+            x = np.exp(sigma * sigma + math.sqrt(2.0) * sigma * u)
+        if np.isinf(x[-1]):
+            raise ValueError(f"lognormal width {sigma:g} overflows the {int(n_nodes)}-node rule")
         return x, w / math.sqrt(math.pi)
 
 
@@ -160,7 +163,8 @@ def solve_fugacity(t_star, ens, n_nodes=64):
     log_target = -1.5 * np.log(ts)
     log_z = np.full(ts.shape, math.log(_Z_CAP))
     f = _ens_sum(1.5, log_z[:, None] * x, w)
-    g = np.log(f) - log_target
+    with np.errstate(divide="ignore"):  # F = 0: z^x underflows, the root is past the cap
+        g = np.log(f) - log_target
     solve = live = np.flatnonzero(g > 0.0)
     # 6-13 steps from the cap in practice; the bound only stops a runaway
     for _ in range(100):

@@ -387,10 +387,11 @@ def _cmd_ml_weights(cfg):
 
 
 def _exp_mixture_quad(a, rho_bar):
-    # E[exp(rho*A)] against the exponential mixing law, as a plain integral
-    return functionals._complex_quad(
-        lambda r: cmath.exp(r * (a - 1.0 / rho_bar)) / rho_bar, [(0.0, math.inf)],
-        [{"limit": 200}], 1e-7, "exponential mixture quadrature")
+    # E[exp(rho*A)] against the exponential mixing law, as a plain integral:
+    # int_0^inf e^{x (rho_bar A - 1)} dx over t = x / (1 + x) on (0, 1)
+    return functionals._panel_integral(
+        lambda t: np.exp(t / (1.0 - t) * (rho_bar * a - 1.0)) / (1.0 - t) ** 2,
+        [np.array([0.0, 1.0])], 1e-7, "exponential mixture quadrature")
 
 
 def _cmd_functional_check(cfg):

@@ -6,9 +6,9 @@ The measures covered: finite-N uniform configurations, the Poisson measure
 with constant intensity, compound (mixed-intensity) Poisson measures, and
 the fractional generalization whose functional is a Mittag-Leffler
 composition. Test functions form a closed parametric family (sums of
-indicator, gaussian and cosine bumps), and every functional reads e^{if} - 1
-through one composite Gauss-Legendre panel rule (the field integral as its
-tensor sum, the circle's determinant functional as a Nystrom determinant).
+indicator, gaussian and cosine bumps), and every integral runs on one
+composite Gauss-Legendre panel rule (the field integral and the lognormal
+mixture as its sum, the determinant functional as a Nystrom determinant).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, linalg
+from scipy import linalg
 from scipy.special import gammaln
 
 from . import specfun
@@ -318,33 +318,33 @@ def _panel_rounds(edges, max_nodes):
         edges = [np.insert(e, np.arange(1, e.size), 0.5 * (e[:-1] + e[1:])) for e in edges]
 
 
-def _tensor_rule(f, axes):
-    # sum of w (e^{i f(x)} - 1) over the tensor product of the 1-D rules
-    # axes = [(nodes, weights)], last axis fastest, _FIELD_SLAB nodes a pass
+def _tensor_rule(g, axes):
+    # sum of w g(x_1, ..., x_d), g vectorised, over the tensor product of the
+    # 1-D rules axes = [(nodes, weights)], last axis fastest, _FIELD_SLAB a pass
     shape = tuple(x.size for x, _ in axes)
     n_nodes, total = math.prod(shape), 0.0j
     for start in range(0, n_nodes, _FIELD_SLAB):
         index = np.unravel_index(np.arange(start, min(start + _FIELD_SLAB, n_nodes)), shape)
-        pts = np.column_stack([x[i] for (x, _), i in zip(axes, index)])
         w = math.prod(wd[i] for (_, wd), i in zip(axes, index))
-        total += complex((w * (np.exp(1j * f(pts)) - 1.0)).sum())
+        total += complex((w * g(*[x[i] for (x, _), i in zip(axes, index)])).sum())
     return total
 
 
-def _complex_quad(g, ranges, opts, gate, what):
-    """int g over the box ranges, one (lo, hi) per argument of the complex
-    integrand g: nquad on its real part, then on its imaginary part, with
-    opts the quad options of each axis. full_output keeps scipy's warnings
-    off stderr; the worst error estimate decides, and above gate it raises
-    QuadratureError naming what."""
-    re, re_err, _ = integrate.nquad(lambda *x: g(*x).real, ranges, opts=opts,
-                                    full_output=True)
-    im, im_err, _ = integrate.nquad(lambda *x: g(*x).imag, ranges, opts=opts,
-                                    full_output=True)
-    err = max(re_err, im_err)
+def _panel_integral(g, edges, gate, what):
+    """int g over the box of the per-axis panel edges by the panel rounds:
+    _FIELD_ORDER Gauss-Legendre nodes per panel and axis, every panel halved
+    each round until two rounds agree to max(1e-12, 1e-11 |I|).  Past
+    _FIELD_NODES nodes the last difference (inf after a single round) is the
+    error estimate, and above gate it raises QuadratureError naming what."""
+    value = err = math.inf
+    for axes in _panel_rounds(edges, _FIELD_NODES):
+        new = _tensor_rule(g, axes)
+        err, value = abs(new - value), new
+        if err <= max(1e-12, 1e-11 * abs(new)):
+            return new
     if not err <= gate:
         raise QuadratureError(f"{what} failed to converge (error estimate {err:.2e})")
-    return complex(re, im)
+    return value
 
 
 def field_integral(f, box):
@@ -352,26 +352,19 @@ def field_integral(f, box):
     rule on the panels between the breakpoints of f.
 
     An indicator-only f is constant on each panel, so one midpoint node per
-    panel is exact.  Any other f takes _FIELD_ORDER nodes per panel and
-    axis, and every panel is halved each round until two rounds agree to
-    max(1e-12, 1e-11 |I|).  Past _FIELD_NODES nodes the last difference
-    (inf after a single round) is the error estimate, and above 1e-7 it
-    raises QuadratureError.
+    panel is exact.  Any other f runs the panel rounds of _panel_integral,
+    gated at 1e-7.
     """
     if not isinstance(f, TestFunction):
         raise TypeError("f must be a TestFunction")
     edges = [_breakpoints(f, box, d) for d in range(box.dim)]
+
+    def g(*x):
+        return np.exp(1j * f(np.column_stack(x))) - 1.0
+
     if f.indicator_only:
-        return _tensor_rule(f, [specfun._gl_panels(e, 1) for e in edges])
-    value = err = math.inf
-    for axes in _panel_rounds(edges, _FIELD_NODES):
-        new = _tensor_rule(f, axes)
-        err, value = abs(new - value), new
-        if err <= max(1e-12, 1e-11 * abs(new)):
-            return new
-    if not err <= 1e-7:
-        raise QuadratureError(f"field integral failed to converge (error estimate {err:.2e})")
-    return value
+        return _tensor_rule(g, [specfun._gl_panels(e, 1) for e in edges])
+    return _panel_integral(g, edges, 1e-7, "field integral")
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +388,10 @@ def char_compound(f, mu_unit, xi):
     """Mixture int exp(rho * A) dxi(rho) with A = int (e^{if} - 1) dx.
 
     Closed forms for dirac and exponential mixing (the latter requires
-    rho_bar * Re A < 1, automatic here since Re A <= 0); one adaptive
-    quadrature in ln(rho) for lognormal, raising QuadratureError when its
-    error estimate exceeds 1e-8; finite sum for discrete; the mixing-law
-    panel rule for fractional.
+    rho_bar * Re A < 1, automatic here since Re A <= 0); the panel rounds
+    in ln(rho) for lognormal, raising QuadratureError when their error
+    estimate exceeds 1e-8; finite sum for discrete; the mixing-law panel
+    rule for fractional.
     """
     if mu_unit.rho != 1.0:
         raise ValueError("char_compound requires a unit-intensity base measure")
@@ -421,15 +414,17 @@ def char_compound(f, mu_unit, xi):
 
 def _lognormal_mixture(sigma, a):
     # E exp(rho a) for ln rho ~ N(sigma^2, sigma^2), i.e. rho = exp(sigma^2 +
-    # sqrt(2) sigma u) against exp(-u^2) / sqrt(pi), by adaptive quadrature in u.
+    # sqrt(2) sigma u) against exp(-u^2) / sqrt(pi), on the panel rounds in u.
     # rho stops at e^709, where it would overflow: exp(rho a) has underflowed
-    # there unless 0 < -Re a < 1e-305, and is 1 at a = 0 either way.
+    # there unless 0 < -Re a < 1e-305, and is 1 at a = 0 either way (rho a
+    # overflows only where exp(rho a) is 0).
     def g(u):
-        rho = math.exp(min(sigma * sigma + math.sqrt(2.0) * sigma * u, 709.0))
-        return cmath.exp(-u * u + rho * a)
+        rho = np.exp(np.minimum(sigma * sigma + math.sqrt(2.0) * sigma * u, 709.0))
+        with np.errstate(over="ignore"):
+            return np.exp(-u * u + rho * a)
 
-    opts = [{"limit": 300, "epsabs": 1e-12, "epsrel": 1e-10}]
-    val = _complex_quad(g, [(-12.0, 12.0)], opts, 1e-8, "lognormal mixture quadrature")
+    val = _panel_integral(g, [np.array([-12.0, 12.0])], 1e-8,
+                          "lognormal mixture quadrature")
     return val / math.sqrt(math.pi)
 
 

@@ -940,12 +940,9 @@ def _minplus(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     """min over j of rows[..., j] + table[j, :], in blocks of _PRODUCT_ENTRIES sums."""
     flat = rows.reshape(-1, rows.shape[-1])
     step = max(1, _PRODUCT_ENTRIES // table.size)
-    if step >= flat.shape[0]:
-        out = np.minimum.reduce(flat[:, :, None] + table, axis=1)
-    else:
-        out = np.empty((flat.shape[0], table.shape[1]))
-        for s in range(0, flat.shape[0], step):
-            np.minimum.reduce(flat[s:s + step, :, None] + table, axis=1, out=out[s:s + step])
+    out = np.empty((flat.shape[0], table.shape[1]))
+    for s in range(0, flat.shape[0], step):
+        np.minimum.reduce(flat[s:s + step, :, None] + table, axis=1, out=out[s:s + step])
     return out.reshape(*rows.shape[:-1], table.shape[1])
 
 
@@ -1084,19 +1081,8 @@ def exact_search_fits(lattice: Lattice) -> bool:
     return budget >= 0 and _exact_search_work(lattice, lattice.n_sites, stop=budget) <= budget
 
 
-def _rounding_slack(lattice: Lattice, p: QuiverParams, n_items: int) -> float:
-    """Margin above the least DP sum within which every true minimizer lies.
-
-    A float sum of j terms is within gamma_j = j u / (1 - j u) times the sum
-    of their magnitudes of the exact sum (Higham 2002, sec. 3.1), u = 2**-53.
-    With A the sum over all terms of |coupling x largest count|, an energy
-    (five products) is within 5.01 u A of its exact value, and a DP sum of
-    n_items table entries (each five products) within (n_items + 5.01) u A.
-    A true minimizer's DP sum, in any summation order, then exceeds the
-    least DP sum by at most 2 (n_items + 5.01) u A + 2 (5.01 u A) <=
-    (2 n_items + 21) u A.  The margin doubles that to cover the rounding of
-    A and of the threshold, plus 2**-1022 for subnormal products.
-    """
+def _energy_bound(lattice: Lattice, p: QuiverParams) -> float:
+    """A = sum over all terms of |coupling x largest count|; ValueError if 2 A overflows."""
     _, rows, _, _ = _terms(lattice)
     kinds, n_terms = np.unique(rows, return_counts=True)
     largest = sum(int(m) * _COUNT_TABLE[k:k + 64].max(axis=0).astype(int)
@@ -1106,7 +1092,23 @@ def _rounding_slack(lattice: Lattice, p: QuiverParams, n_items: int) -> float:
     a_max = _combine((doubles, -hops, hole_pairs, -diag_hops, -gated_hops), p)
     if not math.isfinite(2.0 * a_max):
         raise ValueError("couplings too large: energies on this lattice would overflow")
-    return 2.0 * (2 * n_items + 21) * 2.0 ** -53 * a_max + 2.0 ** -1022
+    return a_max
+
+
+def _rounding_slack(lattice: Lattice, p: QuiverParams, n_items: int) -> float:
+    """Margin above the least DP sum within which every true minimizer lies.
+
+    A float sum of j terms is within gamma_j = j u / (1 - j u) times the sum
+    of their magnitudes of the exact sum (Higham 2002, sec. 3.1), u = 2**-53.
+    With A the `_energy_bound`, an energy (five products) is within
+    5.01 u A of its exact value, and a DP sum of n_items table entries (each
+    five products) within (n_items + 5.01) u A.
+    A true minimizer's DP sum, in any summation order, then exceeds the
+    least DP sum by at most 2 (n_items + 5.01) u A + 2 (5.01 u A) <=
+    (2 n_items + 21) u A.  The margin doubles that to cover the rounding of
+    A and of the threshold, plus 2**-1022 for subnormal products.
+    """
+    return 2.0 * (2 * n_items + 21) * 2.0 ** -53 * _energy_bound(lattice, p) + 2.0 ** -1022
 
 
 def _ring_totals(tables, closing, electrons: int):
@@ -1387,11 +1389,12 @@ def ground_search_anneal(
     TypeError is raised.  Its draws are read in blocks from the raw PCG64
     stream (see `_pcg64_draws`); the result, and the state the rng is left
     in, match the scalar rng.random() and rng.integers() calls of the same
-    algorithm bit for bit.
-    """
+    algorithm bit for bit.  Couplings that could overflow an energy raise
+    ValueError, as in the exact search, before rng is read."""
     n = lattice.n_sites
     if not 0 <= electrons <= 2 * n:
         raise ValueError(f"electron count must lie in 0..{2 * n}")
+    _energy_bound(lattice, p)
     if rng is None:
         rng = np.random.default_rng(0)
     if schedule is None:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -428,6 +429,12 @@ class TestFunctionalCheck:
         assert len(rows) == 9
         assert read_json(out / "report.json")["max_abs_diff"] < 1e-10
 
+    def test_exp_mixture_oscillating_integrand(self, tmp_path):
+        # rho_bar |A| reaches 13.6 at amp = 1.2: an oscillating oracle integrand
+        code, out = run_cli(tmp_path, "functional-check", "rho_bar=24", "amp=1.2")
+        assert code == 0
+        assert read_json(out / "report.json")["max_abs_diff"] < 1e-10
+
     def test_fractional_series_matches_mixture(self, tmp_path):
         code, out = run_cli(tmp_path, "functional-check",
                             "case=fractional-series", "alpha=0.5",
@@ -449,13 +456,16 @@ class TestFunctionalCheck:
 
     def test_oracle_over_its_gate_exits_3_without_outputs(self, tmp_path, capsys,
                                                           monkeypatch):
-        # the direct exp-mixture quadrature reports an estimate above 1e-7
-        monkeypatch.setattr(functionals.integrate, "nquad",
-                            lambda *args, **kwargs: (0.0, 1.0, {"neval": 0}))
+        # the direct exp-mixture quadrature at one node per panel, capped at
+        # 64 nodes, reports an estimate above its 1e-7 gate
+        monkeypatch.setattr(functionals, "_FIELD_ORDER", 1)
+        monkeypatch.setattr(functionals, "_FIELD_NODES", 64)
         code, out = run_cli(tmp_path, "functional-check", "case=exp-mixture")
         assert code == 3
         assert not list(out.iterdir())
-        assert "error estimate 1.00e+00" in capsys.readouterr().err
+        assert re.fullmatch(r"error: exponential mixture quadrature failed to converge "
+                            r"\(error estimate \d\.\d\de-0[1-7]\)\n",
+                            capsys.readouterr().err)
 
 
 class TestSampleMeasure:
@@ -637,6 +647,26 @@ class TestBecCurve:
         assert len(rows) == 4
         assert all(math.isfinite(float(v)) for r in rows for v in r.values())
 
+    def test_wide_ensemble_takes_the_cap_branch_without_warnings(self, tmp_path):
+        # at sigma = 20 z^x underflows at every node at the z cap, so the root
+        # lies beyond the cap and every row above t_c is on the cap branch
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "bec-curve", "sigmas=20", "steps=2")
+        assert code == 0
+        _, rows = read_csv(out / "cv_curve.csv")
+        assert [float(r["z"]) for r in rows] == [1.0, 1.0 - 1e-12]
+
+    def test_overflowing_nodes_exit_2_without_warnings(self, tmp_path, capsys):
+        # at sigma = 30 the largest of 64 Gauss-Hermite nodes overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "bec-curve", "sigmas=30", "steps=2")
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: lognormal width 30 overflows the 64-node rule"]
+        assert not list(out.iterdir())
+
     def test_classical_limit_without_overflow(self, tmp_path):
         # t^{5/2} overflows from about T = 1e123; u / T and c_v tend to 3/2
         with warnings.catch_warnings():
@@ -703,6 +733,15 @@ class TestQuiverGround:
         assert report["diagonal_hole_pairs"] == 1
         assert abs(report["estimate_flag_01"] - (-21.6)) < 1e-12
         assert len(report["minimizer_samples"]) == 12
+
+    @pytest.mark.parametrize("method", ["exact", "anneal"])
+    def test_overflowing_couplings_exit_2_without_outputs(self, tmp_path, capsys, method):
+        code, out = run_cli(tmp_path, "quiver-ground", "u=1e308", "j=1e308",
+                            f"method={method}", "sweeps=2")
+        assert code == 2
+        assert capsys.readouterr().err == ("error: couplings too large: energies on "
+                                           "this lattice would overflow\n")
+        assert not list(out.iterdir())
 
     def test_anneal_never_undercuts_exact(self, tmp_path):
         code, out = run_cli(tmp_path, "quiver-ground", "method=anneal",
@@ -917,12 +956,21 @@ class TestManifestCompleteness:
         assert read_json(out / "manifest.json")["seed"] == 42
 
 
-def test_cli_import_does_not_load_mpmath():
+def _modules_after_cli_import():
+    # sys.modules of a fresh interpreter once `import pointgas.cli` is done
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, pointgas.cli; assert 'mpmath' not in sys.modules"],
+        [sys.executable, "-c", "import sys, pointgas.cli; print(*sys.modules)"],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_cli_import_does_not_load_mpmath():
+    assert "mpmath" not in _modules_after_cli_import()
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    assert "scipy.integrate" not in _modules_after_cli_import()

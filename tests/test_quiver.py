@@ -939,6 +939,16 @@ class TestGroundSearchAnneal:
                                      rng=np.random.default_rng(0))
         assert res.best_occupation.electron_count == 8
 
+    def test_overflowing_couplings_rejected_before_drawing(self):
+        # the exact search's check, made before the rng is read
+        p = q.QuiverParams(U=1e308, t=1.0, k=1.8, J=0.6, alpha_q=0, beta_q=1)
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="couplings too large: energies on this "
+                                             "lattice would overflow"):
+            q.ground_search_anneal(q.Lattice(2, 2), p, 4, rng=rng)
+        assert rng.bit_generator.state == state
+
     def test_validation(self):
         lat = q.Lattice(2, 2, "open")
         p = canonical_params(1, 0)
