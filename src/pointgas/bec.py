@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 
 from . import specfun
 from .functionals import MixingMeasure
@@ -49,7 +50,7 @@ _FD_STEP = 1e-4
 
 @lru_cache(maxsize=16)
 def _hermgauss(n):
-    return np.polynomial.hermite.hermgauss(n)
+    return hermgauss(n)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import bec, functionals, quiver, specfun
 
@@ -468,7 +469,7 @@ def _cmd_sample_measure(cfg):
         return counts, pts
 
     est, stderr = functionals.mc_char(
-        f, counted, p["n_samples"], np.random.default_rng(cfg.seed).spawn(1)[0])
+        f, counted, p["n_samples"], default_rng(cfg.seed).spawn(1)[0])
 
     n_hist = int(np.flatnonzero(hist)[-1])
     model = functionals.weights_fractional(order, mu.mass, n_hist)
@@ -597,7 +598,7 @@ def _cmd_quiver_ground(cfg):
         schedule = (temp, p["cooling"], p["sweeps"])
         result = quiver.ground_search_anneal(
             lat, qp, p["electrons"], schedule=schedule,
-            rng=np.random.default_rng(cfg.seed))
+            rng=default_rng(cfg.seed))
         e_min = result.best_energy
         minimizers = (result.best_occupation,)
         n_degenerate = 1

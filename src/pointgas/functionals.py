@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
-from scipy.special import gammaln
 
 from . import specfun
 from .specfun import QuadratureError
@@ -461,10 +459,10 @@ def weights_fractional(alpha, m, n_max):
     if m == 0.0:
         return (n == 0).astype(float)
     if alpha == 1.0:
-        return np.exp(n * math.log(m) - m - gammaln(n + 1.0))
+        return np.exp(n * math.log(m) - m - specfun._lgamma(n + 1.0))
     taus, w = specfun.mixing_quadrature(alpha)
     log_pois = (n[None, :] * np.log(m * taus)[:, None]
-                - (m * taus)[:, None] - gammaln(n + 1.0)[None, :])
+                - (m * taus)[:, None] - specfun._lgamma(n + 1.0)[None, :])
     return (w[:, None] * np.exp(log_pois)).sum(axis=0)
 
 
@@ -545,31 +543,41 @@ def girard_functional(f, params):
     det(I - diag(w h) G), G(x, y) = (1/L) sum_n occ_n e^{i k_n (x - y)}, on
     the field rule's panels less the nodes where h = 0 (Bornemann 2010,
     Math. Comp. 79:871), the zero mode (occupation rho_bar L) as a rank-one
-    term. Panels are halved until two rounds agree to 1e-12 relative;
-    QuadratureError past _GIRARD_NODES nodes, SingularFunctionalError at a pole.
+    term, each round one slogdet. Panels are halved until two rounds agree
+    to 1e-12 relative; QuadratureError past _GIRARD_NODES nodes,
+    SingularFunctionalError at a pole, OverflowError past the double range.
     """
     length = params.circle_length
     modes, occ = params.occupied_modes()
     occ0, occ = float(occ[modes == 0].sum()) / length, occ[modes != 0] / length
     k = 2.0 * math.pi * modes[modes != 0] / length
-    det = math.inf
+    sign, logdet = 1.0, math.inf  # no round yet
     for (x, w), in _panel_rounds([_breakpoints(f, Box((length,)), 0)], _GIRARD_NODES):
         wh = w * (np.exp(1j * f(x[:, None])) - 1.0)
         x, wh = x[wh != 0.0], wh[wh != 0.0]
         e = np.exp(1j * np.outer(x, k))
-        lu, piv = linalg.lu_factor(np.eye(x.size) - wh[:, None] * ((e * occ) @ e.conj().T))
-        diag = np.diag(lu)
-        if not np.all(np.isfinite(diag)):
+        # the zero mode's rank-one term occ0 wh 1^T as a border: det of
+        # [[M, wh], [occ0 1^T, 1]] is det(M) (1 - occ0 1^T M^-1 wh)
+        border = np.ones((x.size + 1, x.size + 1), dtype=complex)
+        border[:-1, :-1] = np.eye(x.size) - wh[:, None] * ((e * occ) @ e.conj().T)
+        border[:-1, -1] = wh
+        border[-1, :-1] = occ0
+        prev_sign, prev_logdet = sign, logdet
+        with np.errstate(invalid="ignore"):
+            sign, logdet = np.linalg.slogdet(border)
+        sign, logdet = complex(sign), float(logdet)
+        if math.isnan(logdet):
             raise SingularFunctionalError("determinant evaluation produced non-finite pivots")
-        prev, det = det, complex(np.prod(diag))
-        if np.sum(piv != np.arange(x.size)) % 2:
-            det = -det
-        # the zero mode's rank-one term occ0 wh 1^T, by the determinant lemma
-        det *= 1.0 - occ0 * complex(linalg.lu_solve((lu, piv), wh).sum())
-        if not abs(det) >= 1e-100:
-            raise SingularFunctionalError(f"functional pole: det(I - A n) = {det:.3e}")
-        if abs(det - prev) <= 1e-12 * abs(det):
-            return 1.0 / det
+        if logdet > 709.0:
+            raise OverflowError(
+                f"girard determinant exceeds the double range (log|det| = {logdet:.1f})")
+        if not logdet >= math.log(1e-100):
+            raise SingularFunctionalError(
+                f"functional pole: det(I - A n) = {sign * math.exp(logdet):.3e}")
+        # |det - prev| <= 1e-12 |det|; the exponent is clamped, as any ratio
+        # past e fails the test
+        if abs(1.0 - prev_sign / sign * math.exp(min(prev_logdet - logdet, 1.0))) <= 1e-12:
+            return math.exp(-logdet) / sign
     raise QuadratureError(f"girard determinant failed to converge within {_GIRARD_NODES} nodes")
 
 

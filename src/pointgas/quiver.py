@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import sparse
 
 __all__ = [
     "SPIN_UP",
@@ -362,6 +361,8 @@ class FermionOps:
 
     def _views(self, first: int) -> tuple:
         """csr matrices, with no stored zeros, of the n_modes table rows from `first`."""
+        from scipy import sparse  # only the sparse views need scipy
+
         tables, masks = self._tables
         cols, rows = np.arange(self.dim), slice(first, first + self.n_modes)
         return tuple(sparse.csr_matrix((w[w != 0], ((cols ^ m)[w != 0], cols[w != 0])),

@@ -19,7 +19,7 @@ import sys
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "ZETA_TABLE",
@@ -41,6 +41,10 @@ POLYLOG_ORDERS = (0.5, 1.5, 2.5)
 
 class QuadratureError(RuntimeError):
     """A numerical evaluation failed to converge to tolerance."""
+
+
+# log|Gamma| elementwise over an array
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 # Riemann zeta at the orders required by the near-unit polylog expansion
@@ -108,7 +112,7 @@ def _polylog_near_one_coeffs(s):
     k = np.arange(30)
     zk = np.array([ZETA_TABLE[s - kk] for kk in range(30)])
     sign = np.where(k % 2 == 0, 1.0, -1.0)
-    return sign * zk * np.exp(-gammaln(k + 1.0))
+    return sign * zk * np.exp(-_lgamma(k + 1.0))
 
 
 def polylog(order, z):
@@ -250,7 +254,9 @@ def mittag_leffler_deriv(alpha, n, x):
         log_v = math.lgamma(n + 1.0) - math.lgamma(alpha * n + 1.0)
     else:
         taus, weights = mixing_quadrature(alpha)
-        log_v = logsumexp(n * np.log(taus) + x * taus + np.log(weights))
+        logs = n * np.log(taus) + x * taus + np.log(weights)
+        top = logs.max()
+        log_v = top + math.log(np.exp(logs - top).sum())
     if log_v > 709.0:
         raise OverflowError(
             f"mittag_leffler_deriv(alpha={alpha}, n={n}, x={x}) exceeds the "
@@ -308,7 +314,7 @@ def mixing_pdf(alpha, tau):
 
 @lru_cache(maxsize=8)
 def _legendre(n_nodes):
-    return roots_legendre(n_nodes)
+    return leggauss(n_nodes)
 
 
 def _gl_panels(edges, n_nodes=24):
@@ -334,6 +340,13 @@ def _phi_panel_rule(c_max):
     return _gl_panels(edges)
 
 
+@lru_cache(maxsize=8)
+def _series_log_gammas(alpha):
+    # log(Gamma(k alpha + 1) / k!) for the series' terms k = 1..400
+    k = np.arange(1, 401)
+    return _lgamma(k * alpha + 1.0) - _lgamma(k + 1.0)
+
+
 def _mixing_series(alpha, taus):
     # alternating power series of the density at positive taus, and the mask
     # of taus where it is accepted: every one of its 400 terms below 30, and
@@ -342,7 +355,7 @@ def _mixing_series(alpha, taus):
     # series is still 1e-4 away from its sum.
     k = np.arange(1, 401)
     with np.errstate(over="ignore", invalid="ignore"):
-        logs = (gammaln(k * alpha + 1.0) - gammaln(k + 1.0))[None, :] \
+        logs = _series_log_gammas(alpha)[None, :] \
             + (k - 1.0)[None, :] * np.log(np.maximum(taus, 1e-300))[:, None]
         signs = np.where(k % 2 == 1, 1.0, -1.0) * np.sin(k * math.pi * alpha)
         terms = signs[None, :] * np.exp(logs)
@@ -403,7 +416,7 @@ def mixing_quadrature(alpha):
     taus, ws = taus[keep], (ws * dens)[keep]
     k = np.arange(3.0)
     moments = (ws * taus ** k[:, None]).sum(axis=1)
-    err = np.abs(moments * np.exp(gammaln(alpha * k + 1.0) - gammaln(k + 1.0)) - 1.0).max()
+    err = np.abs(moments * np.exp(_lgamma(alpha * k + 1.0) - _lgamma(k + 1.0)) - 1.0).max()
     if not err <= 1e-8:
         raise QuadratureError(
             f"mixing_quadrature(alpha={alpha}): relative error {err:.2g} in the mass "

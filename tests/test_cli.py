@@ -567,6 +567,19 @@ class TestGirardLimit:
         assert code == 0
         assert (out / "girard.csv").exists()
 
+    def test_overflowing_determinant_exits_3_without_warnings(self, tmp_path, capsys):
+        # here log|det| is about 981: past the double range, not a pole
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(tmp_path, "girard-limit", "length=10", "width=10",
+                                "n_max=128", "betas=1.72e-5", "rho_bar=24")
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(r"error: girard determinant exceeds the double range "
+                            r"\(log\|det\| = 981\.\d\)", err[0])
+        assert not list(out.iterdir())
+
     @pytest.mark.parametrize("pairs", [("length=1000", "n_max=100000"),
                                        ("n_max=2000", "betas=1e-5,1")])
     def test_too_many_occupied_modes_exits_2_without_outputs(self, tmp_path, capsys,
@@ -974,3 +987,11 @@ def test_cli_import_does_not_load_mpmath():
 
 def test_cli_import_does_not_load_scipy_integrate():
     assert "scipy.integrate" not in _modules_after_cli_import()
+
+
+def test_cli_import_loads_numpy_only():
+    # no scipy at all; the numpy submodules that runs use are loaded up front,
+    # so no run pays their import
+    modules = _modules_after_cli_import()
+    assert not [m for m in modules if m.split(".")[0] == "scipy"]
+    assert {"numpy.random", "numpy.polynomial"} <= modules

@@ -674,23 +674,34 @@ class TestGirardFunctional:
     def test_lu_runs_over_occupied_modes_only(self, monkeypatch):
         # unoccupied modes add nothing to the LU: the Nystrom matrix lives on
         # the nodes inside the support of e^{if} - 1, so n_max = 512 factors
-        # the same sizes as n_max = 32
-        sizes = []
-        lu_factor = fn.linalg.lu_factor
+        # the same sizes as n_max = 32 (the zero mode's border adds one row)
+        nodes = []
+        slogdet = np.linalg.slogdet
 
         def spy(b_mat):
-            sizes.append(b_mat.shape)
-            return lu_factor(b_mat)
+            nodes.append(b_mat.shape[0] - 1)
+            return slogdet(b_mat)
 
-        monkeypatch.setattr(fn.linalg, "lu_factor", spy)
+        monkeypatch.setattr(np.linalg, "slogdet", spy)
         per_n_max = []
         for n_max in (32, 512):
-            sizes.clear()
+            nodes.clear()
             for beta in GIRARD_BETAS:
                 fn.girard_functional(F_PI_HALF, fn.GirardParams(1.0, n_max, beta, 1.0))
-            per_n_max.append(list(sizes))
+            per_n_max.append(list(nodes))
         assert per_n_max[0] == per_n_max[1]
-        assert per_n_max[0] == [(16, 16), (32, 32)] * len(GIRARD_BETAS)
+        assert per_n_max[0] == [16, 32] * len(GIRARD_BETAS)
+
+    @pytest.mark.parametrize("sign, logdet, exc, match", [
+        (complex("nan+nanj"), math.nan, fn.SingularFunctionalError, "non-finite pivots"),
+        (0j, -math.inf, fn.SingularFunctionalError, r"functional pole: det\(I - A n\) = 0"),
+        (1 + 0j, 800.0, OverflowError, r"exceeds the double range \(log\|det\| = 800\.0\)"),
+    ])
+    def test_determinant_checks(self, monkeypatch, sign, logdet, exc, match):
+        # each check reads the slogdet of the round it stops at
+        monkeypatch.setattr(np.linalg, "slogdet", lambda b_mat: (sign, logdet))
+        with pytest.raises(exc, match=match):
+            fn.girard_functional(F_PI_HALF, fn.GirardParams(1.0, 32, 5.0, 1.0))
 
     def test_node_cap_raises(self, monkeypatch):
         # beta = 1e-4 agrees once 256 nodes fall on [0, 0.5); a 256-node cap
