@@ -212,7 +212,7 @@ def _fmt_column(values):
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         # repr each distinct value once: float64 holds any narrower float
         # exactly, and unique bit patterns, not values, keep -0.0 apart from 0.0
-        bits = values.astype(np.float64).view(np.int64)
+        bits = np.asarray(values, dtype=np.float64).view(np.int64)
         uniq, inverse = np.unique(bits, return_inverse=True)
         strings = np.array([repr(v) for v in uniq.view(np.float64).tolist()], dtype=object)
         return strings[inverse].tolist()
@@ -226,8 +226,9 @@ def _fmt_column(values):
 def _write_csv(columns):
     """CSV text of {name: equal-length list or 1-d array}, in dict order."""
     cells = [_fmt_column(col) for col in columns.values()]
-    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
-    return "\n".join(lines) + "\n"
+    # the empty last line ends the text with a newline in the one join
+    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True)), ""]
+    return "\n".join(lines)
 
 
 def _columns(header, rows):

@@ -329,48 +329,42 @@ def _gl_panels(edges, n_nodes=24):
 
 
 def _phi_panel_rule(c_max):
-    # panels doubling away from phi = 0 resolve the exp(-c A(phi)) peak at
-    # every scale up to c_max (peak width ~ 1/sqrt(c a0 alpha) > 0.3/sqrt(c))
+    # panels doubling away from both ends resolve, at every scale up to c_max,
+    # the exp(-c A(phi)) peak at phi = 0 (width ~ 1/sqrt(c a0 alpha) >
+    # 0.3/sqrt(c)) and the layer near phi = pi where A -> inf and c A ~ 1
     width = min(0.3 / math.sqrt(c_max), math.pi / 16.0)
     edges = [0.0]
-    while edges[-1] + width < math.pi:
+    while edges[-1] + width < math.pi / 2.0:
         edges.append(edges[-1] + width)
         width *= 2.0
-    edges.append(math.pi)
-    return _gl_panels(edges)
+    return _gl_panels(edges + [math.pi - e for e in reversed(edges)])
 
 
-@lru_cache(maxsize=8)
-def _series_log_gammas(alpha):
-    # log(Gamma(k alpha + 1) / k!) for the series' terms k = 1..400
+@lru_cache(maxsize=32)
+def _mixing_series(alpha):
+    # coefficients c_k of tau^(k-1), k = 1..400, of the density's alternating
+    # series, and the radius below which it is accepted: every term below 30
+    # and the last, judged without its sine (sin(400 pi alpha) vanishes at
+    # alpha = 0.95 while the series is 1e-4 off its sum), below 1e-16. Both
+    # bounds grow with tau; log space keeps e^(L_k) tau^(k-1) off underflow.
     k = np.arange(1, 401)
-    return _lgamma(k * alpha + 1.0) - _lgamma(k + 1.0)
-
-
-def _mixing_series(alpha, taus):
-    # alternating power series of the density at positive taus, and the mask
-    # of taus where it is accepted: every one of its 400 terms below 30, and
-    # the last one negligible. That term is judged without its factor
-    # sin(k pi alpha), which can vanish at k = 400 (alpha = 0.95) while the
-    # series is still 1e-4 away from its sum.
-    k = np.arange(1, 401)
-    with np.errstate(over="ignore", invalid="ignore"):
-        logs = _series_log_gammas(alpha)[None, :] \
-            + (k - 1.0)[None, :] * np.log(np.maximum(taus, 1e-300))[:, None]
-        signs = np.where(k % 2 == 1, 1.0, -1.0) * np.sin(k * math.pi * alpha)
-        terms = signs[None, :] * np.exp(logs)
-        max_term = np.nanmax(np.abs(terms), axis=1) / (math.pi * alpha)
-        last = np.exp(logs[:, -1]) / (math.pi * alpha)
-        accepted = (max_term < 30.0) & (last < 1e-16)
-        return terms.sum(axis=1) / (math.pi * alpha), accepted
+    logs = _lgamma(k * alpha + 1.0) - _lgamma(k + 1.0)
+    sines = np.where(k % 2 == 1, 1.0, -1.0) * np.sin(k * math.pi * alpha)
+    log_terms = np.log(np.abs(sines) / (math.pi * alpha)) + logs
+    log_r = min(((math.log(30.0) - log_terms[1:]) / (k[1:] - 1.0)).min(),
+                (math.log(1e-16 * math.pi * alpha) - logs[-1]) / 399.0)
+    return sines * np.exp(logs) / (math.pi * alpha), math.exp(log_r)
 
 
 def _mixing_pdf_many(alpha, taus):
-    # density at an array of positive taus: the series where it is accepted,
-    # elsewhere the Zolotarev/Kanter single integral over the tilt
+    # density at an array of positive taus: the power series below its
+    # radius, elsewhere the Zolotarev/Kanter single integral over the tilt
     taus = np.asarray(taus, dtype=float)
-    out, series_ok = _mixing_series(alpha, taus)
-    rest = np.flatnonzero(~series_ok)
+    coeffs, radius = _mixing_series(alpha)
+    series = taus < radius
+    out = np.empty(taus.shape)
+    out[series] = np.polynomial.polynomial.polyval(taus[series], coeffs)
+    rest = np.flatnonzero(~series)
     # c = t^(1/(1-alpha)) in log space: where c a(0+) > 745 the integrand
     # exp(-c a(phi)) underflows for every phi and the density is 0; those
     # taus stay out of c_max, which would otherwise overflow to inf
@@ -400,7 +394,7 @@ def mixing_quadrature(alpha):
     truncated where the density falls below 1e-20. The rule must reproduce
     the mass and the first two moments k!/Gamma(alpha k + 1) to 1e-8
     relative, or QuadratureError is raised (the density evaluator fails this
-    at most orders above alpha = 0.972).
+    from alpha = 0.995 on).
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:

@@ -402,6 +402,13 @@ class TestMlWeights:
         assert code == 0
         assert abs(read_json(out / "report.json")["weight_sum"] - 1.0) < 1e-8
 
+    @pytest.mark.parametrize("alpha", ["0.001", "0.994"])
+    def test_orders_near_the_range_ends_run(self, tmp_path, alpha):
+        # both need the mixing-law phi panels graded toward phi = pi
+        code, out = run_cli(tmp_path, "ml-weights", f"alpha={alpha}")
+        assert code == 0
+        assert abs(read_json(out / "report.json")["weight_sum"] - 1.0) < 1e-8
+
     def test_manifest_echoes_resolved_config(self, tmp_path):
         code, out = run_cli(tmp_path, "ml-weights", "alpha=0.25", seed=9)
         assert code == 0

@@ -7,6 +7,7 @@ expansion where the series is infeasible) and frozen here as literals.
 
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -361,7 +362,7 @@ class TestMixingLaw:
         taus = np.linspace(0.05, 8.0, 40)
         for alpha, n_integral in ((0.25, 7), (0.5, 16), (0.9, 32)):
             vec = sf._mixing_pdf_many(alpha, taus)
-            integral = ~sf._mixing_series(alpha, taus)[1]
+            integral = taus >= sf._mixing_series(alpha)[1]
             assert integral.sum() == n_integral
             ref = np.array([quad_stable_density(alpha, x ** (-1.0 / alpha))
                             * x ** (-1.0 - 1.0 / alpha) / alpha for x in taus[integral]])
@@ -376,22 +377,28 @@ class TestMixingLaw:
             want = math.factorial(k) / math.gamma(alpha * k + 1.0)
             assert got == pytest.approx(want, rel=1e-10)
 
-    @pytest.mark.parametrize("alpha", [0.01, 0.93])
+    @pytest.mark.parametrize("alpha", [0.001, 0.002, 0.003, 0.01, 0.93, 0.973, 0.985, 0.994])
     def test_moment_gate_passes_at_range_ends(self, alpha):
+        # 0.001-0.003, 0.973, 0.985 and 0.994 need the phi panels graded
+        # toward phi = pi, where A(phi) -> inf
         taus, w = sf.mixing_quadrature(alpha)
         for k in range(3):
             want = math.factorial(k) / math.gamma(alpha * k + 1.0)
             assert float((w * taus ** k).sum()) == pytest.approx(want, rel=1e-8)
+        for z in (0.5, 2.0, 10.0, 30.0):
+            lt = float((w * np.exp(-z * taus)).sum())
+            assert lt == pytest.approx(sf.mittag_leffler(alpha, -z), rel=1e-8)
 
     @pytest.mark.parametrize("alpha", [0.95, 0.98, 0.984, 0.99, 0.995, 0.999])
     def test_near_one_accurate_or_rejected_quickly(self, alpha):
         # from alpha = 0.984 on the integral branch used to overflow c and
-        # never return; below it the rule could silently lose mass
+        # never return; below it the rule could silently lose mass. Up to
+        # 0.99 the rule must pass its gate.
         start = time.perf_counter()
         try:
             taus, w = sf.mixing_quadrature(alpha)
         except sf.QuadratureError as exc:
-            assert "moments" in str(exc)
+            assert alpha >= 0.995 and "moments" in str(exc)
         else:
             for z in (0.5, 2.0, 10.0, 30.0):
                 lt = float((w * np.exp(-z * taus)).sum())
@@ -407,8 +414,37 @@ class TestMixingLaw:
         # sin(400 pi alpha) = 0 at alpha = 0.95, while the series at tau = 1.317
         # is still 1e-4 away from its sum (0.1292310934299727 by 60-digit
         # summation); such a tau goes to the integral branch
-        assert not sf._mixing_series(0.95, np.array([1.317]))[1][0]
+        assert 1.317 >= sf._mixing_series(0.95)[1]
         assert sf.mixing_pdf(0.95, 1.317) == pytest.approx(0.1292310934299727, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.05, 0.3, 0.5, 0.8, 0.95, 0.99])
+    def test_radius_is_the_per_tau_acceptance(self, alpha):
+        # the series is accepted at tau when every term is below 30 and the
+        # last one, without its sine, below 1e-16; each bound grows with tau,
+        # so the rule is tau < radius
+        radius = sf._mixing_series(alpha)[1]
+        taus = np.geomspace(1e-6, 200.0, 4000)
+        k = np.arange(1, 401)
+        logs = sf._lgamma(k * alpha + 1.0) - sf._lgamma(k + 1.0)
+        with np.errstate(over="ignore"):
+            log_terms = logs[None, :] + (k - 1.0)[None, :] * np.log(taus)[:, None]
+            terms = np.abs(np.sin(k * math.pi * alpha)) * np.exp(log_terms) / (math.pi * alpha)
+            last = np.exp(log_terms[:, -1]) / (math.pi * alpha)
+        accepted = (terms.max(axis=1) < 30.0) & (last < 1e-16)
+        assert 0 < accepted.sum() < taus.size
+        np.testing.assert_array_equal(accepted, taus < radius)
+
+    def test_cold_rule_memory(self):
+        # the series is one coefficient vector per order: a (tau x 400) term
+        # matrix traced about 20 MB here, the cold rule now about 8 MB
+        sf._mixing_series.cache_clear()
+        tracemalloc.start()
+        try:
+            sf.mixing_quadrature.__wrapped__(0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("z", [0.5, 2.0, 10.0, 30.0])
