@@ -403,7 +403,6 @@ def _cmd_functional_check(cfg):
     if p["rho_bar"] <= 0.0:
         raise ValueError("rho_bar must be positive")
     box = functionals.Box((1.0,))
-    unit = functionals.IntensityMeasure(box, 1.0)
     rows = []
     for scale in np.linspace(0.2, 1.0, 9):
         amp = float(p["amp"] * scale)
@@ -411,15 +410,15 @@ def _cmd_functional_check(cfg):
         a = functionals.field_integral(f, box)
         if cfg.parameters["case"] == "exp-mixture":
             # independent direct quadrature vs the closed-form mixture value
-            ref = functionals.char_compound(
-                f, unit, functionals.MixingMeasure.exponential(p["rho_bar"]))
+            ref = functionals.MixingMeasure.exponential(p["rho_bar"]).laplace(a)
             quad_val = _exp_mixture_quad(a, p["rho_bar"])
         else:
-            # mixing-law quadrature vs the contour evaluation
-            mu = functionals.IntensityMeasure(box, p["rho_bar"])
+            # mixing-law quadrature vs the contour evaluation at Z = rho_bar A,
+            # rho_bar under the intensity cap
+            z = functionals.IntensityMeasure(box, p["rho_bar"]).rho * a
             taus, w = specfun.mixing_quadrature(p["alpha"])
-            quad_val = complex((w * np.exp(taus * (p["rho_bar"] * a))).sum())
-            ref = functionals.char_fractional(f, mu, p["alpha"])
+            quad_val = complex((w * np.exp(taus * z)).sum())
+            ref = functionals.MixingMeasure.fractional(p["alpha"]).laplace(z)
         rows.append({
             "amplitude": amp,
             "quadrature_re": quad_val.real,
@@ -456,7 +455,8 @@ def _cmd_sample_measure(cfg):
         # the cached rule that weights_fractional reads below rejects an order
         # it cannot resolve; find that out before the sampling
         specfun.mixing_quadrature(p["alpha"])
-        exact = functionals.char_fractional(f, mu, p["alpha"])
+        exact = functionals.char_compound(
+            f, mu, functionals.MixingMeasure.fractional(p["alpha"]))
         sampler = lambda r, n: functionals.sample_fractional_config(
             mu, p["alpha"], r, size=n)
         order = p["alpha"]
@@ -506,9 +506,9 @@ def _cmd_girard_limit(cfg):
                          f"{_GIRARD_MODES_MAX} would need more than about 200 MB")
     f = _indicator(p["amp"], p["width"])
     # zero-temperature limit: only the zero mode stays occupied, hence
-    # 1 / (1 - rho_bar * int (e^{if} - 1) dx)
+    # 1 / (1 - rho_bar A), the exponential law's transform at A = int (e^{if} - 1) dx
     a = p["width"] * (cmath.exp(1j * p["amp"]) - 1.0)
-    target = 1.0 / (1.0 - p["rho_bar"] * a)
+    target = functionals.MixingMeasure.exponential(p["rho_bar"]).laplace(a)
     rows = []
     for (base, fine), (held, held2) in zip(runs, occupied):
         val = functionals.girard_functional(f, base)

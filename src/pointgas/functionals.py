@@ -3,12 +3,14 @@ Monte Carlo samplers, the grand-canonical determinant functional on a
 circle, and the ground-state-to-potential map.
 
 The measures covered: finite-N uniform configurations, the Poisson measure
-with constant intensity, compound (mixed-intensity) Poisson measures, and
-the fractional generalization whose functional is a Mittag-Leffler
-composition. Test functions form a closed parametric family (sums of
-indicator, gaussian and cosine bumps), and every integral runs on one
-composite Gauss-Legendre panel rule (the field integral and the lognormal
-mixture as its sum, the determinant functional as a Nystrom determinant).
+with constant intensity, and compound (mixed-intensity) Poisson measures,
+whose functional is the mixing law's Laplace transform E[exp(r Z)] at
+Z = rho int (e^{if} - 1) dx; the fractional measure is the compound one
+whose transform is the Mittag-Leffler function. Test functions form a
+closed parametric family (sums of indicator, gaussian and cosine bumps),
+and every integral runs on one composite Gauss-Legendre panel rule (the
+field integral and the lognormal mixture as its sum, the determinant
+functional as a Nystrom determinant).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "char_poisson",
     "char_finite_NV",
     "char_compound",
-    "char_fractional",
     "weights_fractional",
     "sample_poisson_config",
     "sample_fractional_config",
@@ -59,8 +60,8 @@ class Box:
 
     def __post_init__(self):
         sides = tuple(float(s) for s in np.atleast_1d(self.sides))
-        if not sides or any(s <= 0.0 for s in sides):
-            raise ValueError(f"box sides must be positive, got {self.sides!r}")
+        if not sides or not all(0.0 < s < math.inf for s in sides):
+            raise ValueError(f"box sides must be positive and finite, got {self.sides!r}")
         object.__setattr__(self, "sides", sides)
 
     @property
@@ -74,16 +75,22 @@ class Box:
 
 @dataclass(frozen=True)
 class IntensityMeasure:
-    """Constant-intensity measure rho * Lebesgue on a box; mass capped at 50
-    so the fractional functional stays inside its evaluation domain."""
+    """Constant-intensity measure rho * Lebesgue on a box, its mass
+    rho * volume capped at 50.
+
+    The cap bounds the samplers' count draws (Poisson of the mass, or of tau
+    times it) and matches weights_fractional's m <= 50. It does not keep the
+    fractional functional in its domain: |Z| = rho |int (e^{if} - 1) dx| is
+    up to twice the mass, and MixingMeasure.laplace checks |Z| <= 50 itself.
+    """
 
     box: Box
     rho: float
 
     def __post_init__(self):
-        if self.rho < 0.0:
-            raise ValueError(f"intensity must be nonnegative, got {self.rho!r}")
-        if self.mass > 50.0:
+        if not 0.0 <= self.rho < math.inf:
+            raise ValueError(f"intensity must be nonnegative and finite, got {self.rho!r}")
+        if not self.mass <= 50.0:
             raise ValueError(
                 f"total mass rho*volume = {self.mass:g} exceeds the supported cap 50")
 
@@ -180,7 +187,8 @@ class MixingMeasure:
     """Probability law of the random intensity multiplier.
 
     Kinds: dirac(rho0), exponential(rho_bar), lognormal(sigma),
-    discrete(atoms, weights), fractional(alpha). Unit total mass.
+    discrete(atoms, weights), fractional(alpha). Unit total mass; every
+    parameter finite.
     """
 
     kind: str
@@ -194,20 +202,20 @@ class MixingMeasure:
 
     @classmethod
     def dirac(cls, rho0):
-        if rho0 <= 0.0:
-            raise ValueError("dirac atom must be positive")
+        if not 0.0 < rho0 < math.inf:
+            raise ValueError(f"dirac atom must be positive and finite, got {rho0!r}")
         return cls("dirac", (float(rho0),))
 
     @classmethod
     def exponential(cls, rho_bar):
-        if rho_bar <= 0.0:
-            raise ValueError("exponential mean must be positive")
+        if not 0.0 < rho_bar < math.inf:
+            raise ValueError(f"exponential mean must be positive and finite, got {rho_bar!r}")
         return cls("exponential", (float(rho_bar),))
 
     @classmethod
     def lognormal(cls, sigma):
-        if sigma <= 0.0:
-            raise ValueError("lognormal width must be positive")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"lognormal width must be positive and finite, got {sigma!r}")
         return cls("lognormal", (float(sigma),))
 
     @classmethod
@@ -216,8 +224,9 @@ class MixingMeasure:
         weights = tuple(float(w) for w in weights)
         if len(atoms) != len(weights) or not atoms:
             raise ValueError("atoms and weights must be nonempty and equal length")
-        if any(a <= 0.0 for a in atoms) or any(w < 0.0 for w in weights):
-            raise ValueError("atoms must be positive, weights nonnegative")
+        if not (all(0.0 < a < math.inf for a in atoms)
+                and all(0.0 <= w < math.inf for w in weights)):
+            raise ValueError("atoms must be positive, weights nonnegative, both finite")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError("discrete weights must sum to 1")
         return cls("discrete", (atoms, weights))
@@ -227,6 +236,34 @@ class MixingMeasure:
         if not 0.0 < alpha < 1.0:
             raise ValueError("fractional order must lie in (0, 1)")
         return cls("fractional", (float(alpha),))
+
+    def laplace(self, z):
+        """E[exp(rho z)] over this law, for complex z with Re z <= 0.
+
+        Closed forms for dirac and exponential; the finite sum for discrete;
+        the panel rounds in ln(rho) for lognormal, raising QuadratureError
+        when their error estimate exceeds 1e-8; E_alpha(z) by
+        specfun.mittag_leffler for fractional, for |z| <= 50 only. There a
+        numerically real z, |Im z| <= 1e-14 max(1, |Re z|), is passed as a
+        real argument and the result carries a zero imaginary part.
+        """
+        z = complex(z)
+        if not z.real <= 0.0:
+            raise ValueError(f"the Laplace transform needs Re z <= 0, got {z!r}")
+        if self.kind == "dirac":
+            return cmath.exp(self.params[0] * z)
+        if self.kind == "exponential":
+            return 1.0 / (1.0 - self.params[0] * z)
+        if self.kind == "lognormal":
+            return _lognormal_mixture(self.params[0], z)
+        if self.kind == "discrete":
+            return sum(w * cmath.exp(rho * z) for rho, w in zip(*self.params))
+        alpha = self.params[0]
+        if abs(z) > 50.0:
+            raise ValueError(f"argument |Z| = {abs(z):.3g} outside the domain (<= 50)")
+        if abs(z.imag) <= 1e-14 * max(1.0, abs(z.real)):
+            return complex(specfun.mittag_leffler(alpha, z.real), 0.0)
+        return specfun.mittag_leffler(alpha, z)
 
 
 @dataclass(frozen=True)
@@ -382,32 +419,11 @@ def char_finite_NV(f, n, box):
     return (1.0 + field_integral(f, box) / box.volume) ** int(n)
 
 
-def char_compound(f, mu_unit, xi):
-    """Mixture int exp(rho * A) dxi(rho) with A = int (e^{if} - 1) dx.
-
-    Closed forms for dirac and exponential mixing (the latter requires
-    rho_bar * Re A < 1, automatic here since Re A <= 0); the panel rounds
-    in ln(rho) for lognormal, raising QuadratureError when their error
-    estimate exceeds 1e-8; finite sum for discrete; the mixing-law panel
-    rule for fractional.
-    """
-    if mu_unit.rho != 1.0:
-        raise ValueError("char_compound requires a unit-intensity base measure")
-    a = field_integral(f, mu_unit.box)
-    if xi.kind == "dirac":
-        return cmath.exp(xi.params[0] * a)
-    if xi.kind == "exponential":
-        w = xi.params[0] * a
-        if w.real >= 1.0:
-            raise QuadratureError("exponential mixture diverges for rho_bar*Re A >= 1")
-        return 1.0 / (1.0 - w)
-    if xi.kind == "lognormal":
-        return _lognormal_mixture(xi.params[0], a)
-    if xi.kind == "discrete":
-        atoms, weights = xi.params
-        return sum(w * cmath.exp(rho * a) for rho, w in zip(atoms, weights))
-    taus, w = specfun.mixing_quadrature(xi.params[0])
-    return complex((w * np.exp(taus * a)).sum())
+def char_compound(f, mu, xi):
+    """Mixture int exp(r Z) dxi(r) with Z = rho int (e^{if} - 1) dx, the
+    intensity rho of mu scaled by a random factor r ~ xi: xi.laplace(Z).
+    The fractional law gives the Mittag-Leffler composition E_alpha(Z)."""
+    return xi.laplace(mu.rho * field_integral(f, mu.box))
 
 
 def _lognormal_mixture(sigma, a):
@@ -424,25 +440,6 @@ def _lognormal_mixture(sigma, a):
     val = _panel_integral(g, [np.array([-12.0, 12.0])], 1e-8,
                           "lognormal mixture quadrature")
     return val / math.sqrt(math.pi)
-
-
-def char_fractional(f, mu, alpha):
-    """Mittag-Leffler composition E_alpha(Z), Z = rho * int (e^{if} - 1) dx,
-    for |Z| <= 50.
-
-    Evaluated by specfun.mittag_leffler, whose contour evaluator covers real
-    and complex arguments (Re Z <= 0 holds by construction). A numerically
-    real Z, |Im Z| <= 1e-14 max(1, |Re Z|), is passed as a real argument and
-    the result carries a zero imaginary part.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"fractional order must lie in (0, 1], got {alpha!r}")
-    z = mu.rho * field_integral(f, mu.box)
-    if abs(z) > 50.0:
-        raise ValueError(f"argument |Z| = {abs(z):.3g} outside the domain (<= 50)")
-    if abs(z.imag) <= 1e-14 * max(1.0, abs(z.real)):
-        return complex(specfun.mittag_leffler(alpha, z.real), 0.0)
-    return specfun.mittag_leffler(alpha, z)
 
 
 def weights_fractional(alpha, m, n_max):

@@ -379,7 +379,9 @@ def _mixing_pdf_many(alpha, taus):
         with np.errstate(over="ignore"):
             # a(phi) overflows near pi when alpha is close to 1; inf is clipped
             tilt = np.minimum(_tilt(phi, alpha), 1e300)
-        kern = (pw * tilt)[None, :] * np.exp(-np.outer(c, tilt))
+        # one (taus x phi-nodes) matrix, exponentiated and weighted in place
+        kern = np.multiply.outer(-c, tilt)
+        np.multiply(np.exp(kern, out=kern), pw * tilt, out=kern)
         out[rest] = t ** (alpha / (1.0 - alpha)) / ((1.0 - alpha) * math.pi) \
             * kern.sum(axis=1)
     return out

@@ -76,7 +76,7 @@ def test_ac03_characteristic_functional_suite():
         assert abs(est - fn.char_poisson(INDICATOR, mu)) <= 3.0 * stderr
 
         mu_frac = fn.IntensityMeasure(fn.Box((1.0,)), 1.5)
-        series = fn.char_fractional(PHASE_BUMP, mu_frac, 0.5)
+        series = fn.char_compound(PHASE_BUMP, mu_frac, fn.MixingMeasure.fractional(0.5))
         a_val = fn.field_integral(PHASE_BUMP, mu_frac.box)
         taus, w = sf.mixing_quadrature(0.5)
         mixture = complex((w * np.exp(taus * (1.5 * a_val))).sum())

@@ -254,10 +254,8 @@ class TestExitCodes:
         def fail(*args):
             raise functionals.QuadratureError("injected convergence failure")
 
-        monkeypatch.setattr(functionals, "char_fractional", fail)
-        code, out = run_cli(tmp_path, "functional-check",
-                            "case=fractional-series", "alpha=0.25",
-                            "rho_bar=24", "amp=1.5707963")
+        monkeypatch.setattr(functionals, "char_compound", fail)
+        code, out = run_cli(tmp_path, "sample-measure", "kind=fractional", "n_samples=200")
         assert code == 3
         assert not list(out.iterdir())
 
@@ -492,6 +490,14 @@ class TestSampleMeasure:
         assert header == ["count", "observed", "expected"]
         for row in rows[:5]:
             assert abs(float(row["observed"]) - float(row["expected"])) < 0.05
+
+    def test_fractional_argument_past_the_domain_exits_2(self, tmp_path, capsys):
+        # the mass 30 is under the intensity cap, but |Z| = 30 |e^{i pi} - 1| = 60
+        code, out = run_cli(tmp_path, "sample-measure", "kind=fractional", "rho=30",
+                            "side=1", "amp=3.14159", "width=1")
+        assert code == 2
+        assert capsys.readouterr().err == "error: argument |Z| = 60 outside the domain (<= 50)\n"
+        assert not list(out.iterdir())
 
     def test_fractional_order_near_one_exits_3_without_outputs(self, tmp_path, monkeypatch):
         # the order is rejected before any sample is drawn

@@ -22,6 +22,7 @@ F_ZERO = fn.TestFunction(())
 F_PHASE = fn.TestFunction(
     ({"shape": "indicator", "center": (0.25,), "width": 0.5, "amplitude": 1.2},))
 A_PHASE = 0.5 * (cmath.exp(1.2j) - 1.0)
+HALF = fn.MixingMeasure.fractional(0.5)
 
 
 def unit_measure(rho=1.0):
@@ -133,6 +134,28 @@ class TestMixingMeasure:
             fn.MixingMeasure.fractional(1.0)
         with pytest.raises(ValueError):
             fn.MixingMeasure("cauchy", ())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fn.MixingMeasure.dirac(math.nan),
+    lambda: fn.MixingMeasure.exponential(math.nan),
+    lambda: fn.MixingMeasure.exponential(math.inf),
+    lambda: fn.MixingMeasure.lognormal(math.nan),
+    lambda: fn.MixingMeasure.lognormal(math.inf),
+    lambda: fn.MixingMeasure.discrete((1.0, math.nan), (0.5, 0.5)),
+    lambda: fn.MixingMeasure.discrete((1.0, math.inf), (0.5, 0.5)),
+    lambda: fn.MixingMeasure.discrete((1.0, 2.0), (1.0, math.nan)),
+    lambda: fn.IntensityMeasure(BOX1, math.nan),
+    lambda: fn.IntensityMeasure(BOX1, math.inf),
+    lambda: fn.Box((1.0, math.nan)),
+    lambda: fn.Box((math.inf,)),
+], ids=["dirac-nan", "exponential-nan", "exponential-inf", "lognormal-nan",
+        "lognormal-inf", "discrete-atom-nan", "discrete-atom-inf",
+        "discrete-weight-nan", "rho-nan", "rho-inf", "side-nan", "side-inf"])
+def test_rejects_non_finite_parameters(build):
+    # NaN passes every `<= 0` test, and a NaN weight the normalisation test
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 class TestFieldIntegral:
@@ -353,23 +376,60 @@ class TestCharCompound:
         assert abs(fn.char_compound(F_PHASE, unit_measure(), xi)) < 1e-12
         assert abs(fn.char_compound(F_ZERO, unit_measure(), xi) - 1.0) < 1e-12
 
-    def test_requires_unit_intensity(self):
-        with pytest.raises(ValueError):
-            fn.char_compound(F_PI_HALF, unit_measure(2.0), fn.MixingMeasure.dirac(1.0))
+    def test_any_intensity_dirac_one_is_poisson(self):
+        # the intensity may sit in mu or in the mixing law
+        for f in (F_PI_HALF, F_PHASE):
+            got = fn.char_compound(f, unit_measure(2.0), fn.MixingMeasure.dirac(1.0))
+            assert got == fn.char_poisson(f, unit_measure(2.0))
+            moved = fn.char_compound(f, unit_measure(), fn.MixingMeasure.dirac(2.0))
+            assert abs(moved - got) <= 1e-15
+
+    @pytest.mark.parametrize("rho", [1.0, 2.0])
+    @pytest.mark.parametrize("xi", [
+        fn.MixingMeasure.dirac(1.5),
+        fn.MixingMeasure.exponential(0.8),
+        fn.MixingMeasure.lognormal(0.8),
+        fn.MixingMeasure.discrete((0.5, 2.0), (0.3, 0.7)),
+        fn.MixingMeasure.fractional(0.5),
+    ], ids=lambda xi: xi.kind)
+    def test_is_laplace_at_z(self, xi, rho):
+        mu = unit_measure(rho)
+        for f in (F_PI_HALF, F_PHASE, F_ZERO):
+            got = fn.char_compound(f, mu, xi)
+            assert got == xi.laplace(rho * fn.field_integral(f, BOX1))
+
+    @pytest.mark.parametrize("alpha", [0.995, 0.999])
+    def test_fractional_near_one_is_mittag_leffler(self, alpha):
+        # the mixing-law rule, which the fractional law used to sum, fails
+        # its moment gate at these orders
+        xi = fn.MixingMeasure.fractional(alpha)
+        z = 2.0 * fn.field_integral(F_PHASE, BOX1)
+        assert fn.char_compound(F_PHASE, unit_measure(2.0), xi) == sf.mittag_leffler(alpha, z)
+        # Z = -2 + 1.2e-16i is numerically real
+        z = 2.0 * fn.field_integral(F_PI_HALF, BOX1)
+        got = fn.char_compound(F_PI_HALF, unit_measure(2.0), xi)
+        assert got == complex(sf.mittag_leffler(alpha, z.real), 0.0)
+
+    def test_laplace_rejects_positive_real_part(self):
+        for xi in (fn.MixingMeasure.exponential(1.0), fn.MixingMeasure.fractional(0.5)):
+            with pytest.raises(ValueError):
+                xi.laplace(0.5 + 0.1j)
 
 
 class TestCharFractional:
+    """char_compound over the fractional law: E_alpha(Z)."""
+
     def test_alpha_one_is_poisson(self):
         for f in (F_PI_HALF, F_PHASE):
-            got = fn.char_fractional(f, unit_measure(2.0), 1.0)
+            got = fn.char_compound(f, unit_measure(2.0), fn.MixingMeasure.dirac(1.0))
             ref = fn.char_poisson(f, unit_measure(2.0))
             assert abs(got - ref) < 1e-12
 
     def test_zero_function(self):
-        assert fn.char_fractional(F_ZERO, unit_measure(2.0), 0.5) == 1.0 + 0.0j
+        assert fn.char_compound(F_ZERO, unit_measure(2.0), HALF) == 1.0 + 0.0j
 
     def test_real_argument_matches_evaluator(self):
-        got = fn.char_fractional(F_PI_HALF, unit_measure(2.0), 0.5)
+        got = fn.char_compound(F_PI_HALF, unit_measure(2.0), HALF)
         ref = sf.mittag_leffler(0.5, -2.0)
         assert got.imag == 0.0
         assert abs(got.real - ref) < 1e-10
@@ -378,13 +438,13 @@ class TestCharFractional:
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 0.9])
     def test_series_matches_mixture(self, alpha):
         # alpha = 0.75, 0.9 exceed |arg Z|/pi = 0.69: the contour's pole rule
-        got = fn.char_fractional(F_PHASE, unit_measure(2.0), alpha)
+        got = fn.char_compound(F_PHASE, unit_measure(2.0), fn.MixingMeasure.fractional(alpha))
         taus, w = sf.mixing_quadrature(alpha)
         ref = complex((w * np.exp(taus * 2.0 * A_PHASE)).sum())
         assert abs(got - ref) < 1e-9
 
     def test_wide_argument_uses_high_precision(self):
-        got = fn.char_fractional(F_PHASE, unit_measure(8.0), 0.5)
+        got = fn.char_compound(F_PHASE, unit_measure(8.0), HALF)
         taus, w = sf.mixing_quadrature(0.5)
         ref = complex((w * np.exp(taus * 8.0 * A_PHASE)).sum())
         assert abs(got - ref) < 1e-9
@@ -393,19 +453,19 @@ class TestCharFractional:
         # f = pi on the whole box: Z = 26 * (e^{i pi} - 1) = -52
         f = fn.TestFunction(
             ({"shape": "indicator", "center": (0.5,), "width": 1.0, "amplitude": math.pi},))
-        with pytest.raises(ValueError):
-            fn.char_fractional(f, unit_measure(26.0), 0.5)
+        with pytest.raises(ValueError, match=r"\|Z\| = 52 outside the domain"):
+            fn.char_compound(f, unit_measure(26.0), HALF)
 
     def test_infeasible_series_rejected(self):
         # once out of reach of series summation (|Z| = 13, alpha = 0.25)
-        got = fn.char_fractional(F_PHASE, unit_measure(24.0), 0.25)
+        got = fn.char_compound(F_PHASE, unit_measure(24.0), fn.MixingMeasure.fractional(0.25))
         taus, w = sf.mixing_quadrature(0.25)
         ref = complex((w * np.exp(taus * 24.0 * A_PHASE)).sum())
         assert abs(got - ref) < 1e-9
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
-            fn.char_fractional(F_PI_HALF, unit_measure(), 1.5)
+            fn.MixingMeasure.fractional(1.5)
 
 
 class TestFunctionalBounds:
@@ -427,7 +487,7 @@ class TestFunctionalBounds:
                 fn.char_poisson(f, unit_measure(1.5)),
                 fn.char_finite_NV(f, 7, BOX1),
                 fn.char_compound(f, unit_measure(), fn.MixingMeasure.exponential(0.7)),
-                fn.char_fractional(f, unit_measure(1.5), 0.6),
+                fn.char_compound(f, unit_measure(1.5), fn.MixingMeasure.fractional(0.6)),
             ]
             for v in vals:
                 assert abs(v) <= 1.0 + 1e-10, f"case {case}: |L| = {abs(v)}"
@@ -435,7 +495,8 @@ class TestFunctionalBounds:
         assert fn.char_finite_NV(F_ZERO, 7, BOX1) == 1.0 + 0.0j
         assert fn.char_compound(F_ZERO, unit_measure(),
                                 fn.MixingMeasure.exponential(0.7)) == 1.0 + 0.0j
-        assert fn.char_fractional(F_ZERO, unit_measure(1.5), 0.6) == 1.0 + 0.0j
+        assert fn.char_compound(F_ZERO, unit_measure(1.5),
+                                fn.MixingMeasure.fractional(0.6)) == 1.0 + 0.0j
 
 
 class TestWeightsFractional:
@@ -586,7 +647,7 @@ class TestMcChar:
         est, se = fn.mc_char(F_PHASE,
                              lambda r, n: fn.sample_fractional_config(mu, 0.5, r, size=n),
                              20000, np.random.default_rng(43))
-        assert abs(est - fn.char_fractional(F_PHASE, mu, 0.5)) <= 3.0 * se
+        assert abs(est - fn.char_compound(F_PHASE, mu, HALF)) <= 3.0 * se
 
 
 class TestBatchPairings:
