@@ -413,9 +413,9 @@ def _cmd_functional_check(cfg):
             ref = functionals.MixingMeasure.exponential(p["rho_bar"]).laplace(a)
             quad_val = _exp_mixture_quad(a, p["rho_bar"])
         else:
-            # mixing-law quadrature vs the contour evaluation at Z = rho_bar A,
-            # rho_bar under the intensity cap
-            z = functionals.IntensityMeasure(box, p["rho_bar"]).rho * a
+            # mixing-law quadrature vs the contour evaluation at Z = rho_bar A;
+            # laplace rejects |Z| > 50
+            z = p["rho_bar"] * a
             taus, w = specfun.mixing_quadrature(p["alpha"])
             quad_val = complex((w * np.exp(taus * z)).sum())
             ref = functionals.MixingMeasure.fractional(p["alpha"]).laplace(z)

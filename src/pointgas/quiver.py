@@ -74,7 +74,7 @@ SPIN_DOWN = 1
 BASIS_STATES = ("double", "up", "down", "hole")
 
 _MAX_ALGEBRA_SITES = 6      # Fock dimension 4**6 = 4096
-_MAX_TUPLE_SITES = 4        # exhaustive 4-tuple sweeps stay affordable
+_MAX_TUPLE_SITES = 6        # exhaustive 4-tuple sweeps stay affordable: 6**4 tuples
 _CHUNK_ENTRIES = 1 << 14    # table entries per site tuple chunk of an algebra check
 
 _CODE_ELECTRONS = (0, 1, 1, 2)
@@ -1260,6 +1260,7 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
 
 
 _RAW_BLOCK = 4096           # PCG64 words the annealer reads per block
+_MOVE_CACHE = 1 << 14       # move outcomes the annealer keeps before clearing them all
 
 
 def _pcg64_draws(rng):
@@ -1386,6 +1387,13 @@ def ground_search_anneal(
     running and best energy is bitwise `energy` of its state and can never
     undercut the exact search's minimum.  Deterministic for a given seed.
 
+    Each move's outcome (the codes it writes, its packed counts and energy)
+    is cached under the state it was proposed from, keyed by the codes at 2
+    bits a site, so a walk that revisits states on a plateau looks it up
+    instead of recomputing it.  The cache holds at most _MOVE_CACHE entries
+    and is cleared whole when full.  It reads no draw, and every draw,
+    result and rng end state is the same as without it.
+
     rng must be a numpy Generator on PCG64 (np.random.default_rng), or a
     TypeError is raised.  Its draws are read in blocks from the raw PCG64
     stream (see `_pcg64_draws`); the result, and the state the rng is left
@@ -1424,6 +1432,12 @@ def ground_search_anneal(
     accepted = 0
     temp = float(t_init)
     exp = math.exp
+    # state key (codes at 2 bits a site) -> {move key: (i, new_i, j, new_j,
+    # packed counts, energy)}: the outcome of a move proposed from that state
+    key = sum(c << 2 * s for s, c in enumerate(codes[:n]))
+    cache = {}
+    moves = cache[key] = {}
+    cached = 0
 
     random, integers, close = _pcg64_draws(rng)
     try:
@@ -1436,10 +1450,17 @@ def ground_search_anneal(
                     dst = _draw_slot(integers, codes, n_slots, 0)
                     if src < 0 or dst < 0:
                         continue
-                    i, j = src >> 1, dst >> 1
-                    old_i, old_j = codes[i], codes[j]
-                    delta = _site_change(codes, touch, i, old_i ^ (1 << (src & 1)))
-                    delta += _site_change(codes, touch, j, codes[j] ^ (1 << (dst & 1)))
+                    move = src * n_slots + dst
+                    out = moves.get(move)
+                    if out is None:
+                        i, j = src >> 1, dst >> 1
+                        old_i, old_j = codes[i], codes[j]
+                        new_i = old_i ^ (1 << (src & 1))
+                        delta = _site_change(codes, touch, i, new_i)
+                        new_j = codes[j] ^ (1 << (dst & 1))
+                        delta += _site_change(codes, touch, j, new_j)
+                        codes[j] = old_j
+                        codes[i] = old_i
                 else:
                     for _ in range(64):
                         i = integers(n)
@@ -1447,24 +1468,39 @@ def ground_search_anneal(
                             break
                     else:
                         continue
-                    j = i
-                    old_i = old_j = codes[i]
-                    delta = _site_change(codes, touch, i, old_i ^ 3)
-                new = packed + delta
-                e_new = energies.get(new)
-                if e_new is None:
-                    e_new = energies[new] = _combine([new >> s & mask for s in shifts], p)
+                    move = -1 - i
+                    out = moves.get(move)
+                    if out is None:
+                        j = i
+                        old_i = codes[i]
+                        new_i = new_j = old_i ^ 3
+                        delta = _site_change(codes, touch, i, new_i)
+                        codes[i] = old_i
+                if out is None:
+                    new = packed + delta
+                    e_new = energies.get(new)
+                    if e_new is None:
+                        e_new = energies[new] = _combine([new >> s & mask for s in shifts], p)
+                    if cached == _MOVE_CACHE:
+                        cache.clear()
+                        moves = cache[key] = {}
+                        cached = 0
+                    out = moves[move] = (i, new_i, j, new_j, new, e_new)
+                    cached += 1
+                i, new_i, j, new_j, new, e_new = out
                 d_e = e_new - e_now
                 if d_e <= 0.0 or (temp > 0.0 and random() < exp(-d_e / temp)):
+                    key ^= (codes[i] ^ new_i) << 2 * i
+                    codes[i] = new_i
+                    key ^= (codes[j] ^ new_j) << 2 * j
+                    codes[j] = new_j
+                    moves = cache.setdefault(key, {})
                     packed = new
                     e_now = e_new
                     accepted += 1
                     if e_now < best_e:
                         best_e = e_now
                         best_codes = tuple(codes[:n])
-                else:
-                    codes[j] = old_j
-                    codes[i] = old_i
             trace.append(e_now)
             temp *= cooling
     finally:

@@ -192,7 +192,7 @@ def test_ac08_figure_sharpness_reproduction():
 
 def test_ac09_operator_algebra_exhaustive():
     with budget(60.0):
-        for lx, ly in ((1, 2), (1, 3), (2, 2)):
+        for lx, ly in ((1, 2), (1, 3), (2, 2), (2, 3)):
             lat = q.Lattice(lx, ly, "open")
             assert q.build_fermion_ops(lat).car_residual() < 1e-12
             assert q.check_commutators(lat).max_residual < 1e-12

@@ -455,6 +455,22 @@ class TestFunctionalCheck:
         assert code == 0
         assert read_json(out / "report.json")["max_abs_diff"] < 1e-10
 
+    @pytest.mark.parametrize("alpha", ["0.25", "0.5"])
+    def test_fractional_series_past_the_intensity_cap(self, tmp_path, alpha):
+        # rho_bar = 60 is over the samplers' mass cap 50, but |Z| <= 6 here
+        code, out = run_cli(tmp_path, "functional-check", "case=fractional-series",
+                            f"alpha={alpha}", "rho_bar=60", "amp=0.1")
+        assert code == 0
+        assert read_json(out / "report.json")["max_abs_diff"] < 1e-10
+
+    def test_fractional_series_past_the_domain_exits_2(self, tmp_path, capsys):
+        # |Z| = 120 sin(amp / 2) passes 50 first at amp = 0.9
+        code, out = run_cli(tmp_path, "functional-check", "case=fractional-series",
+                            "rho_bar=60", "amp=1", "width=1")
+        assert code == 2
+        assert capsys.readouterr().err == "error: argument |Z| = 52.2 outside the domain (<= 50)\n"
+        assert not list(out.iterdir())
+
     def test_width_validation(self, tmp_path):
         code, _ = run_cli(tmp_path, "functional-check", "width=1.5")
         assert code == 2

@@ -502,7 +502,7 @@ class TestCheckComposition:
 
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):
-            q.check_composition(q.Lattice(3, 2, "open"))
+            q.check_composition(q.Lattice(7, 1, "open"))
 
 
 class TestVertexMatrices:
@@ -1052,6 +1052,25 @@ class TestAnnealDraws:
             ref = scalar_anneal(lat, p, electrons, schedule, ref_rng)
             assert (res.best_energy, res.best_occupation, res.trace, res.n_accepted) == ref
             assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("bound", [None, 8])
+    def test_cached_moves_match_scalar_draws(self, monkeypatch, bound):
+        # 3x4 wanders a plateau of a few dozen states, so most proposals repeat
+        # a (state, move) pair and are answered from the move cache; a bound
+        # of 8 entries clears the cache many times mid-run
+        if bound is not None:
+            monkeypatch.setattr(q, "_MOVE_CACHE", bound)
+        site_change = q._site_change
+        calls = []
+        monkeypatch.setattr(q, "_site_change", lambda *a: calls.append(1) or site_change(*a))
+        lat, p, schedule = q.Lattice(3, 4, "open"), canonical_params(0, 1), (2.0, 0.95, 300)
+        rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+        res = q.ground_search_anneal(lat, p, 10, schedule=schedule, rng=rng)
+        ref = scalar_anneal(lat, p, 10, schedule, ref_rng)
+        assert (res.best_energy, res.best_occupation, res.trace, res.n_accepted) == ref
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        proposals = schedule[2] * 2 * lat.n_sites
+        assert (len(calls) < proposals / 2) == (bound is None)
 
     def test_other_bit_generators_rejected(self):
         with pytest.raises(TypeError, match="PCG64"):
