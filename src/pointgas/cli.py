@@ -593,8 +593,9 @@ def _cmd_quiver_ground(cfg):
         e_min, minimizers = quiver.ground_search_exact(lat, qp, p["electrons"])
         n_degenerate = len(minimizers)
     else:
+        # temp_init = 0 takes the default; a negative one reaches the annealer's check
         temp = p["temp_init"]
-        if temp <= 0.0:
+        if temp == 0.0:
             temp = 2.0 * qp.t if qp.t > 0.0 else 1.0
         schedule = (temp, p["cooling"], p["sweeps"])
         result = quiver.ground_search_anneal(

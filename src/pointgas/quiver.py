@@ -985,8 +985,8 @@ def _forward(tables, closing, electrons: int, firsts=None, keep: bool = False):
 
     Returns (total, least): total[f, last] is the least DP sum with
     `electrons` in all (inf where none); least lists (off, h) for slices
-    0..L-2 if keep, with None for a ring's slice 0, which holds the first
-    code, else None.
+    0..L-2 if keep, else None.  A ring's slice 0 state holds T_0 of the
+    first code at h[f, 0, firsts[f]] and inf elsewhere.
     """
     n_codes = tables[0].size
     width = (n_codes.bit_length() - 1) // 2
@@ -998,8 +998,10 @@ def _forward(tables, closing, electrons: int, firsts=None, keep: bool = False):
         least = [(0, h)]
     else:
         off = int(count[firsts[0]])
+        h0 = np.full((firsts.size, 1, n_codes), np.inf)
+        h0[np.arange(firsts.size), 0, firsts] = tables[0][firsts]
         h = (tables[0][firsts, None] + tables[1][firsts])[:, None, :]
-        least = [None, (off, h)]
+        least = [(0, h0), (off, h)]
     for k, n_layers, blocks in _pass_blocks(width, n_slices, electrons, off, firsts is not None):
         table = tables[k]
         final = k == n_slices - 1
@@ -1056,8 +1058,8 @@ def _exact_search_bytes(lattice: Lattice) -> int:
     n_slices, width = slices.shape
     top, n_codes = 2 * width, 4 ** width
     ring = len(parts) > n_slices
-    # a ring keeps one layer for slice 1, an open strip one for slice 0
-    layers = 1 + sum(top * k + 1 for k in range(1, n_slices - 1 - ring))
+    # one layer for slice 0 and, on a ring, one for slice 1
+    layers = 1 + ring + sum(top * k + 1 for k in range(1, n_slices - 1 - ring))
     rows = min(math.comb(top, width), _FIRST_CHUNK) if ring else 1
     tables = sum(n_codes ** key[0] for key in {key for key, _, _ in parts})
     return 8 * (tables + rows * layers * n_codes)
@@ -1112,22 +1114,6 @@ def _rounding_slack(lattice: Lattice, p: QuiverParams, n_items: int) -> float:
     return 2.0 * (2 * n_items + 21) * 2.0 ** -53 * _energy_bound(lattice, p) + 2.0 ** -1022
 
 
-def _ring_totals(tables, closing, electrons: int):
-    """Yield (firsts, total) of a ring's forward pass, chunk by chunk.
-
-    The first codes from which `electrons` is reachable run in chunks of
-    at most _FIRST_CHUNK of one electron class; total[f, last] is the least
-    DP sum with `electrons` in all that starts at firsts[f] and ends at
-    `last`, closing table included (inf where none).
-    """
-    n_slices, n_codes = len(tables), tables[0].size
-    width = (n_codes.bit_length() - 1) // 2
-    count = _code_classes(width)[1]
-    reach = np.flatnonzero(np.isin(count, _first_classes(width, n_slices, electrons)))
-    for firsts in _first_chunks(width, reach):
-        yield firsts, _forward(tables, closing, electrons, firsts)[0]
-
-
 def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
     """Exact minimum energy and the complete set of minimizers.
 
@@ -1146,9 +1132,10 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
     backtracking keeps every pattern whose DP sum lies within a proven
     rounding margin of the least one, and the minimum and its minimizers
     are decided on each candidate's energy recomputed from its integer
-    counts, bitwise equal to `energy`.  A ring's forward pass runs over
-    chunks of first codes and is rerun, keeping its states, only for the
-    first codes that hold a candidate.
+    counts, bitwise equal to `energy`.  The forward pass runs over chunks
+    of first codes on a ring (one chunk on an open strip) and is rerun,
+    keeping its states from slice 0 on, for the first codes that hold a
+    candidate.
 
     Raises ValueError for a lattice that `exact_search_fits` rejects, for
     an electron count outside 0..2 n_sites, for couplings so large that an
@@ -1171,44 +1158,38 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
     slack = _rounding_slack(lattice, p, len(parts))
     tables, closing = _transfer_tables(lattice, p)
 
-    # the least DP sum sets the threshold; a ring keeps, chunk by chunk, only
-    # the (first, last) pairs within the margin of the least sum so far
-    if closing is None:
-        total, least = _forward(tables, None, electrons, keep=True)
-        low = float(total.min())
-        first, last = np.nonzero(total <= low + slack)
-    else:
-        low, near = math.inf, []
-        for firsts, total in _ring_totals(tables, closing, electrons):
-            low = min(low, float(total.min()))
-            row, last = np.nonzero(total <= low + slack)
-            near.append((firsts[row], last, total[row, last]))
-        first, last, value = (np.concatenate(arrays) for arrays in zip(*near))
-        first, last = first[value <= low + slack], last[value <= low + slack]
+    # a ring's reachable first codes in chunks, an open strip's one kept pass
+    # as chunk None; each keeps the (row, last) pairs within the running margin
+    chunks = [None] if closing is None else _first_chunks(width, np.flatnonzero(
+        np.isin(count, _first_classes(width, n_slices, electrons))))
+    low, near = math.inf, []
+    for firsts in chunks:
+        total, least = _forward(tables, closing, electrons, firsts, keep=closing is None)
+        low = min(low, float(total.min()))
+        row, last = np.nonzero(total <= low + slack)
+        near.append((firsts, row, last, total[row, last], least))
     threshold = low + slack
 
-    # the forward states behind the candidates: the one pass of an open
-    # strip, reruns for the first codes that hold a candidate on a ring
-    if closing is None:
-        passes = [(np.zeros(1, dtype=np.intp), least)]
-    else:
-        passes = ((firsts, _forward(tables, closing, electrons, firsts, keep=True)[1])
-                  for firsts in _first_chunks(width, np.unique(first)))
-
     # backtracking, depth first in chunks of `step`: a partial pattern fixes
-    # slices k..L-1 (path), its row in the pass's first codes, its electrons
-    # in slices 0..k and the DP sum of its tables above slice k
+    # slices k..L-1 (path), its row in the chunk's first codes, its
+    # electrons in slices 0..k and the DP sum of its tables above slice k
     best = math.inf
     best_rows: list = []
     n_candidates = 0
     shifts = 2 * np.arange(width)
     every = np.arange(n_codes)
     step = max(1, _FRONTIER_ENTRIES // n_codes)
-    for firsts, least in passes:
-        mine = np.isin(first, firsts)
-        row, end = np.searchsorted(firsts, first[mine]), last[mine]
-        rest = np.zeros(row.size) if closing is None else closing[firsts[row], end]
-        stack = [(n_slices - 1, row, end[:, None], np.full(row.size, electrons), rest)]
+    for firsts, row, last, value, least in near:
+        row, last = row[value <= threshold], last[value <= threshold]
+        if row.size == 0:
+            continue
+        if firsts is not None:
+            # rerun the pass, keeping its states, for the first codes that hold a candidate
+            held = np.unique(row)
+            firsts, row = firsts[held], np.searchsorted(held, row)
+            least = _forward(tables, closing, electrons, firsts, keep=True)[1]
+        rest = np.zeros(row.size) if firsts is None else closing[firsts[row], last]
+        stack = [(n_slices - 1, row, last[:, None], np.full(row.size, electrons), rest)]
         while stack:
             k, row, path, e, rest = stack.pop()
             if row.size > step:
@@ -1232,15 +1213,6 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
                 continue
             # a finite DP sum holds at least the slice's electrons, so e stays >= 0
             e = e - count[path[:, 0]]
-            if least[k - 1] is None:
-                # a ring's slice 0 holds the pass's first code, and the
-                # electrons of slice 1's state already match its count
-                code = firsts[row]
-                dp = tables[0][code] + (tables[1][code, path[:, 0]] + rest)
-                hit = np.flatnonzero(dp <= threshold)
-                path = np.concatenate((code[hit, None], path[hit]), axis=1)
-                stack.append((0, row[hit], path, e[hit], rest[hit]))
-                continue
             rest = tables[k][:, path[:, 0]].T + rest[:, None]
             off, h = least[k - 1]
             layer = e[:, None] - off - count

@@ -794,6 +794,19 @@ class TestQuiverGround:
         assert report["e_min"] >= -24.0 - 1e-12
         assert report["schedule"] == [2.0, 0.95, 400]
 
+    def test_negative_temp_init_exits_2_without_outputs(self, tmp_path, capsys):
+        code, out = run_cli(tmp_path, "quiver-ground", "method=anneal", "temp_init=-5",
+                            "sweeps=3")
+        assert code == 2
+        assert not list(out.iterdir())
+        assert capsys.readouterr().err.startswith("error: schedule must be (T_init >= 0")
+
+    def test_zero_temp_init_takes_the_default(self, tmp_path):
+        code, out = run_cli(tmp_path, "quiver-ground", "method=anneal", "temp_init=0",
+                            "t=0", "sweeps=3")
+        assert code == 0
+        assert read_json(out / "report.json")["schedule"] == [1.0, 0.95, 3]
+
     def test_auto_falls_back_to_anneal(self, tmp_path):
         # the exact search's cost rule rejects every ring of width 5 or more
         code, out = run_cli(tmp_path, "quiver-ground", "lx=5", "ly=5", "boundary=periodic",

@@ -831,7 +831,8 @@ class TestGroundSearchExact:
     def test_least_totals_match_dense_pass(self, lx, ly, boundary):
         lat = q.Lattice(lx, ly, boundary)
         p = canonical_params(0, 1)
-        codes = q._code_classes(min(lx, ly))[0]
+        width = min(lx, ly)
+        codes, count, _ = q._code_classes(width)
         for electrons in range(2 * lat.n_sites + 1):
             dense = dense_least_totals(lat, p, electrons)
             tables, closing = q._transfer_tables(lat, p)
@@ -839,11 +840,50 @@ class TestGroundSearchExact:
                 total = q._forward(tables, None, electrons)[0]
             else:
                 total = np.full((codes.size, codes.size), np.inf)
-                for firsts, chunk in q._ring_totals(tables, closing, electrons):
-                    total[firsts] = chunk
+                classes = q._first_classes(width, len(tables), electrons)
+                for firsts in q._first_chunks(width, np.flatnonzero(np.isin(count, classes))):
+                    total[firsts] = q._forward(tables, closing, electrons, firsts)[0]
             first = codes if dense.shape[0] > 1 else [0]
             dense = np.ascontiguousarray(dense[np.ix_(first, codes)])
             assert dense.tobytes() == np.ascontiguousarray(total).tobytes(), electrons
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("lx,ly", [(3, 3), (2, 4)])
+    def test_small_first_chunks_match_brute_force_oracle(self, monkeypatch, lx, ly, chunk):
+        # a class's candidates span several chunks of first codes, and each
+        # rerun for a chunk's held first codes renumbers their rows
+        lat = q.Lattice(lx, ly, "periodic")
+        # the cost rule's cached answer is taken at the default chunk size
+        assert q.exact_search_fits(lat)
+        monkeypatch.setattr(q, "_FIRST_CHUNK", chunk)
+        p = canonical_params(0, 1)
+        electron_counts = range(2 * lat.n_sites + 1)
+        oracle = brute_force_minima(lat, p, electron_counts)
+        for electrons in electron_counts:
+            e_min, mins = q.ground_search_exact(lat, p, electrons)
+            assert e_min == oracle[electrons][0], electrons
+            assert [m.codes for m in mins] == oracle[electrons][1], electrons
+
+    @pytest.mark.parametrize("lx,ly,boundary", [
+        (3, 3, "periodic"), (3, 4, "periodic"), (4, 4, "periodic"), (4, 4, "open"),
+    ])
+    def test_memory_model_covers_kept_states(self, lx, ly, boundary):
+        # the distinct transfer tables plus the states one kept pass holds
+        # over the largest chunk of first codes, at half filling
+        lat = q.Lattice(lx, ly, boundary)
+        width, electrons = min(lx, ly), lat.n_sites
+        tables, closing = q._transfer_tables(lat, canonical_params(0, 1))
+        distinct = {t.__array_interface__["data"][0]: t.nbytes
+                    for t in (*tables, closing) if t is not None}
+        if closing is None:
+            largest = None
+        else:
+            count = q._code_classes(width)[1]
+            classes = q._first_classes(width, len(tables), electrons)
+            largest = max(q._first_chunks(width, np.flatnonzero(np.isin(count, classes))), key=len)
+        least = q._forward(tables, closing, electrons, largest, keep=True)[1]
+        kept = sum(h.nbytes for _, h in least)
+        assert sum(distinct.values()) + kept <= q._exact_search_bytes(lat)
 
     def test_equal_tables_built_once(self, monkeypatch):
         built = []
