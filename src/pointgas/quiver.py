@@ -359,6 +359,18 @@ class FermionOps:
         return (np.vstack((self.weights, dag.conj(), np.ones(self.dim))),
                 np.concatenate((bits, bits, [0])))
 
+    @cached_property
+    def _currents(self):
+        """Hop, flux and symmetric-flux column tables, and their shared masks.
+
+        j(a, b) = -i (v(a, b) - v(b, a)) and k(a, b) = v(a, b) + v(b, a)
+        keep one entry per column: both hops move the same two bits.
+        """
+        v, masks = _hop_tables(self)
+        n = self.lattice.n_sites
+        vt = v.reshape(2, n, n, -1).transpose(0, 2, 1, 3).reshape(v.shape)
+        return v, -1j * (v - vt), v + vt, masks
+
     def _views(self, first: int) -> tuple:
         """csr matrices, with no stored zeros, of the n_modes table rows from `first`."""
         from scipy import sparse  # only the sparse views need scipy
@@ -469,45 +481,73 @@ def _worst_residual(masks, products, singles) -> float:
     """Largest Frobenius norm, over site tuples, of a sum of column tables.
 
     The sum is, per tuple t, sum(sign X[ix[t]] Y[iy[t]]) over `products`
-    (sign, X, ix, Y, iy) plus sum(coef[t] Z[iz[t]]) over `singles`
+    (sign +-1, X, ix, Y, iy) plus sum(coef[t] Z[iz[t]]) over `singles`
     (coef, Z, iz); X, Y and Z are column tables sharing `masks`.  Column
     col of XY holds X[col ^ mask(Y)] Y[col].  Every term with a nonzero
     coefficient in the identities checked here moves the same bits (a
     Kronecker delta removes two equal mode bits from the XOR), so the terms
-    add column by column.  Weights are small Gaussian integers, so every
-    sum, and the largest squared norm, is exact.
+    add column by column.
+
+    The masks take few distinct values, so the column permutations
+    cols ^ mask are the rows of one table built per call: a chunk gathers
+    X[ix] read through Y's mask as one flat `take` of X at that table row
+    plus ix * dim, into buffers that every chunk reuses.  The indices are
+    trusted to address rows of the tables.  A single's coefficients are
+    Kronecker deltas, mostly zero, so each single is reduced once to its
+    nonzero tuples, and a chunk adds only those that fall inside it.
+    Weights are small Gaussian integers, so every sum is an exact Gaussian
+    integer, and each squared norm, summed by einsum over the real and
+    imaginary parts alike, is an exact integer in any order of summation.
     """
     n_tuples = len(products[0][2])
-    cols = np.arange(products[0][1].shape[1])
-    chunk = max(1, _CHUNK_ENTRIES // cols.size)
+    dim = products[0][1].shape[1]
+    uniq, qid = np.unique(masks, return_inverse=True)
+    perms = np.arange(dim) ^ uniq[:, None]
+    gathers = [(sign > 0, np.asarray(x, complex).ravel(), ix * dim, qid[iy],
+                np.asarray(y, complex), iy) for sign, x, ix, y, iy in products]
+    nonzero = []
+    for coef, z, iz in singles:
+        hit = np.flatnonzero(coef)
+        nonzero.append((hit, coef[hit, None], z, iz[hit]))
+    chunk = max(1, min(n_tuples, _CHUNK_ENTRIES // dim))
+    # chunk buffers reused by every chunk: `take` writes straight into `out`
+    # only in mode "clip", and every index built here is in range
+    index_buf, value_bufs = np.empty((chunk, dim), perms.dtype), np.empty((3, chunk, dim), complex)
     worst = 0.0
     for start in range(0, n_tuples, chunk):
         cut = slice(start, start + chunk)
-        diff = 0
-        for sign, x, ix, y, iy in products:
-            ix, iy = ix[cut], iy[cut]
-            diff = diff + sign * x[ix[:, None], cols ^ masks[iy, None]] * y[iy]
-        for coef, z, iz in singles:
-            diff = diff + coef[cut, None] * z[iz[cut]]
-        worst = max(worst, float((diff.real ** 2 + diff.imag ** 2).sum(axis=1).max()))
+        size = min(chunk, n_tuples - start)
+        idx, (diff, term, rows) = index_buf[:size], value_bufs[:, :size]
+        for k, (plus, x, base, row, y, iy) in enumerate(gathers):
+            np.take(perms, row[cut], axis=0, out=idx, mode="clip")
+            idx += base[cut, None]
+            out = term if k else diff
+            np.take(x, idx, out=out, mode="clip")
+            out *= np.take(y, iy[cut], axis=0, out=rows, mode="clip")
+            if k == 0:
+                if not plus:
+                    np.negative(diff, out=diff)
+            elif plus:
+                diff += term
+            else:
+                diff -= term
+        for hit, coef, z, iz in nonzero:
+            lo, hi = np.searchsorted(hit, (start, start + chunk))
+            if lo < hi:
+                diff[hit[lo:hi] - start] += coef[lo:hi] * z[iz[lo:hi]]
+        flat = diff.view(np.float64)
+        worst = max(worst, float(np.einsum("ij,ij->i", flat, flat).max()))
     return math.sqrt(worst)
 
 
 def _current_tables(lattice: Lattice, ops: FermionOps | None):
-    """Hop, flux and symmetric-flux column tables, and their shared masks.
-
-    Read from ops, or from a fresh build_fermion_ops(lattice) when ops is
-    None. j(a, b) = -i (v(a, b) - v(b, a)) and k(a, b) = v(a, b) + v(b, a)
-    keep one entry per column: both hops move the same two bits.
-    """
+    """`FermionOps._currents` of ops, or of a fresh build_fermion_ops(lattice)
+    when ops is None; a given ops builds its tables once for every check."""
     if ops is None:
         ops = build_fermion_ops(lattice)
     elif ops.lattice != lattice:
         raise ValueError("ops were built for another lattice")
-    v, masks = _hop_tables(ops)
-    n = lattice.n_sites
-    vt = v.reshape(2, n, n, -1).transpose(0, 2, 1, 3).reshape(v.shape)
-    return v, -1j * (v - vt), v + vt, masks
+    return ops._currents
 
 
 def _row(n: int, s, a, b):

@@ -418,6 +418,54 @@ def sparse_car_residual(ops):
     return worst
 
 
+def reference_worst_residual(masks, products, singles):
+    """Dense reference for q._worst_residual: the sums gathered per entry,
+    over all tuples at once."""
+    cols = np.arange(products[0][1].shape[1])
+    diff = 0
+    for sign, x, ix, y, iy in products:
+        diff = diff + sign * x[ix[:, None], cols ^ masks[iy, None]] * y[iy]
+    for coef, z, iz in singles:
+        diff = diff + coef[:, None] * z[iz]
+    return math.sqrt(float((diff.real ** 2 + diff.imag ** 2).sum(axis=1).max()))
+
+
+def gaussian_integers(rng, shape):
+    return rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)
+
+
+def single_coefficients(kind, n_tuples, rng):
+    coef = np.zeros(n_tuples, dtype=complex if kind == "complex" else int)
+    if kind == "last":
+        coef[-1] = 1
+    elif kind == "complex":
+        coef[:] = gaussian_integers(rng, n_tuples)
+    elif kind == "straddling":
+        # runs 2-3 and 5-9 straddle the edges 3, 6 and 9 of three-tuple chunks
+        coef[2:4] = 1
+        coef[5:10] = -1
+    return coef
+
+
+class TestWorstResidualEngine:
+    @pytest.mark.parametrize("chunk_dims", [1, 3])
+    @pytest.mark.parametrize("kind", ["zero", "last", "complex", "straddling"])
+    def test_matches_dense_reference(self, monkeypatch, chunk_dims, kind):
+        rng = np.random.default_rng(["zero", "last", "complex", "straddling"].index(kind))
+        dim, n_rows, n_tuples = 16, 6, 23
+        monkeypatch.setattr(q, "_CHUNK_ENTRIES", chunk_dims * dim)
+        masks = rng.integers(0, dim, n_rows)
+        x, y = gaussian_integers(rng, (n_rows, dim)), gaussian_integers(rng, (n_rows, dim))
+        x[rng.random(x.shape) < 0.5] = 0
+        real = rng.integers(-2, 3, (n_rows, dim)).astype(float)
+        ix, iy, iz = rng.integers(0, n_rows, (3, n_tuples))
+        products = [(-1, x, ix, y, iy), (1, y, iy, x, ix), (1, real, iz, x, iy)]
+        singles = [(single_coefficients(kind, n_tuples, rng), y, iz),
+                   (single_coefficients("straddling", n_tuples, rng), real, ix)]
+        for prods, sings in ((products, singles), (products[1:2], singles[:1]), (products[:1], [])):
+            assert q._worst_residual(masks, prods, sings) == reference_worst_residual(masks, prods, sings)
+
+
 class TestAlgebraTables:
     @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (2, 3)])
     def test_car_residual_matches_sparse_products(self, shape):
@@ -459,6 +507,33 @@ class TestAlgebraTables:
         assert (q.check_commutators(lat, ops), q.check_composition(lat, ops)) == built
         with pytest.raises(ValueError, match="another lattice"):
             q.check_composition(q.Lattice(2, 1, "open"), ops)
+
+    def test_checks_build_the_current_tables_once(self, monkeypatch):
+        calls = []
+        hop_tables = q._hop_tables
+        monkeypatch.setattr(q, "_hop_tables", lambda ops: calls.append(1) or hop_tables(ops))
+        lat = q.Lattice(2, 1, "open")
+        ops = q.build_fermion_ops(lat)
+        q.check_commutators(lat, ops)
+        q.check_composition(lat, ops)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("shape, worst, n_checks",
+                             [((2, 2), 22.627416997969522, 3584), ((3, 1), 11.313708498984761, 1188)])
+    def test_wrong_right_hand_side_fails(self, monkeypatch, shape, worst, n_checks):
+        # with k negated the density identities fail, density_flux only
+        # through its single k term, while the four-index ones hold with -k
+        tables = q._current_tables
+
+        def flipped(lattice, ops=None):
+            v, jop, kop, masks = tables(lattice, ops)
+            return v, jop, -kop, masks
+
+        monkeypatch.setattr(q, "_current_tables", flipped)
+        rep = q.check_commutators(q.Lattice(*shape, "open"))
+        assert rep.residuals == {"density_flux": worst, "density_sym": worst,
+                                 "flux_flux": 0.0, "flux_sym": 0.0, "sym_sym": 0.0}
+        assert rep.n_checks == n_checks
 
     def test_wrong_shape_table_rejected(self):
         lat = q.Lattice(2, 1, "open")
