@@ -74,7 +74,6 @@ SPIN_DOWN = 1
 BASIS_STATES = ("double", "up", "down", "hole")
 
 _MAX_ALGEBRA_SITES = 6      # Fock dimension 4**6 = 4096
-_MAX_TUPLE_SITES = 6        # exhaustive 4-tuple sweeps stay affordable: 6**4 tuples
 _CHUNK_ENTRIES = 1 << 14    # table entries per site tuple chunk of an algebra check
 
 _CODE_ELECTRONS = (0, 1, 1, 2)
@@ -314,6 +313,13 @@ class Occupation:
 # exact fermion operators
 
 
+def _check_fock_cap(lattice: Lattice) -> None:
+    """ValueError for a lattice above the _MAX_ALGEBRA_SITES cap of exact operators."""
+    if lattice.n_sites > _MAX_ALGEBRA_SITES:
+        raise ValueError(f"lattice has {lattice.n_sites} sites; exact Fock operators are capped "
+                         f"at {_MAX_ALGEBRA_SITES} sites (dimension 4096)")
+
+
 @dataclass(frozen=True)
 class FermionOps:
     """Jordan-Wigner operators of every lattice mode, held as one column table.
@@ -329,6 +335,7 @@ class FermionOps:
     weights: np.ndarray = field(compare=False)
 
     def __post_init__(self):
+        _check_fock_cap(self.lattice)
         if np.shape(self.weights) != (self.n_modes, self.dim):
             raise ValueError(f"weights must have shape ({self.n_modes}, {self.dim})")
 
@@ -411,9 +418,7 @@ def build_fermion_ops(lattice: Lattice) -> FermionOps:
     the Jordan-Wigner string runs over modes in site-major order (mode =
     2 * site + spin), which fixes all sign conventions.
     """
-    if lattice.n_sites > _MAX_ALGEBRA_SITES:
-        raise ValueError(f"lattice has {lattice.n_sites} sites; exact Fock operators are capped "
-                         f"at {_MAX_ALGEBRA_SITES} sites (dimension 4096)")
+    _check_fock_cap(lattice)  # before the table is allocated
     n_modes = 2 * lattice.n_sites
     occupied = (np.arange(1 << n_modes) >> (n_modes - 1 - np.arange(n_modes))[:, None]) & 1
     before = np.cumsum(occupied, axis=0) - occupied
@@ -566,11 +571,6 @@ def check_commutators(lattice: Lattice, ops: FermionOps | None = None) -> Algebr
     operators as ops to reuse a build; by default they are built here.
     """
     n = lattice.n_sites
-    if n > _MAX_TUPLE_SITES:
-        raise ValueError(
-            f"commutator sweep is exhaustive over site tuples; lattice capped "
-            f"at {_MAX_TUPLE_SITES} sites, got {n}"
-        )
     v, jop, kop, masks = _current_tables(lattice, ops)
 
     def comm(x, ix, y, iy):
@@ -639,11 +639,6 @@ def check_composition(lattice: Lattice, ops: FermionOps | None = None) -> Compos
     rho rho - rho, so the two share one norm. ops as in check_commutators.
     """
     n = lattice.n_sites
-    if n > _MAX_TUPLE_SITES:
-        raise ValueError(
-            f"composition sweep is exhaustive over site tuples; lattice capped "
-            f"at {_MAX_TUPLE_SITES} sites, got {n}"
-        )
     v, _, _, masks = _current_tables(lattice, ops)
     s, a, b, m, nn = np.indices((2, n, n, n, n)).reshape(5, -1)
     mb, ab = _row(n, s, m, b), _row(n, s, a, b)
@@ -750,8 +745,9 @@ def _terms(lattice: Lattice):
     Site index n_sites is the phantom hole.  touch[s] lists, for the terms
     on site s, (s0, s1, s2, counts by code index, weight) with the five
     counts packed `width` bits apart (no term counts more than 2, so no
-    total reaches 2**width) and weight the digit weight of s in the code
-    index 16 c0 + 4 c1 + c2 (summed if s occurs twice).
+    total reaches 2**width), one counts tuple shared by every term of a
+    kind, and weight the digit weight of s in the code index 16 c0 + 4 c1
+    + c2 (summed if s occurs twice).
     """
     hole = lattice.n_sites
     terms = [(0, a, hole, hole) for a in range(hole)]
@@ -759,11 +755,12 @@ def _terms(lattice: Lattice):
     terms += [(128, *t) for t in lattice.nnn_triples if t[1] < t[2]]
     width = (2 * len(terms)).bit_length()
     packed = [sum(c << (width * i) for i, c in enumerate(row)) for row in _COUNT_TABLE.tolist()]
+    kinds = {row: tuple(packed[row:row + 64]) for row in (0, 64, 128)}
     touch = [[] for _ in range(hole)]
     for row, *triple in terms:
         for s in set(triple) - {hole}:
             weight = sum(w for w, t in zip((16, 4, 1), triple) if t == s)
-            touch[s].append((*triple, tuple(packed[row:row + 64]), weight))
+            touch[s].append((*triple, kinds[row], weight))
     arr = np.array(terms, dtype=np.intp)
     return arr[:, 1:], arr[:, 0].astype(np.uint8), tuple(map(tuple, touch)), width
 
@@ -844,7 +841,6 @@ def energy(occ: Occupation, lattice: Lattice, p: QuiverParams) -> float:
 
 
 _FRONTIER_ENTRIES = 1 << 16  # (partial pattern, slice code) pairs scored per numpy pass
-_FIRST_CHUNK = 32           # first-slice codes of a ring per forward pass
 _TABLE_ROWS = 1024          # transfer-table rows gathered per numpy pass
 _PRODUCT_ENTRIES = 1 << 15  # partial sums of one min-plus product per numpy pass
 # listed minimizers: about 350 B each in a quiver-ground run, which
@@ -856,9 +852,9 @@ _MAX_MINIMIZERS = 200_000
 # 4 ns each on a 2-vCPU Linux VM, Python 3.11, numpy 2.4).  One min-plus
 # block product also costs _PRODUCT_MADDS of them in numpy call overhead,
 # and one byte of a transfer table or a kept state _BYTE_MADDS.  The
-# budget is about 1 s there.  At half filling 4x4 periodic counts 5.5e7
-# (0.27 s), 4x5 periodic 1.9e8 (0.8 s) and 5x9 open 2.5e8 (0.9 s); 4x6
-# periodic counts 3.9e8 and is left to the annealer.
+# budget is about 1 s there.  At half filling 4x4 periodic counts 6.2e7
+# (runs in 0.14 s), 4x5 periodic 2.1e8 (0.4 s) and 5x9 open 2.5e8 (0.5 s);
+# 4x6 periodic counts 4.3e8 and is left to the annealer.
 _PRODUCT_MADDS = 4_000
 _BYTE_MADDS = 10
 _EXACT_BUDGET = 250_000_000
@@ -967,16 +963,6 @@ def _first_classes(width: int, n_slices: int, electrons: int) -> list:
     return [a for a in range(top + 1) if a <= electrons <= a + top * (n_slices - 1)]
 
 
-def _first_chunks(width: int, firsts: np.ndarray):
-    """The sorted code positions `firsts` in chunks of at most _FIRST_CHUNK
-    that each lie within one electron class."""
-    starts = _code_classes(width)[2]
-    for a in range(2 * width + 1):
-        mine = firsts[(firsts >= starts[a]) & (firsts < starts[a + 1])]
-        for s in range(0, mine.size, _FIRST_CHUNK):
-            yield mine[s:s + _FIRST_CHUNK]
-
-
 def _minplus(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     """min over j of rows[..., j] + table[j, :], in blocks of _PRODUCT_ENTRIES sums."""
     flat = rows.reshape(-1, rows.shape[-1])
@@ -1069,8 +1055,8 @@ def _exact_search_work(lattice: Lattice, electrons: int, stop: float = math.inf)
 
     Counts, in integers from the class sizes C(2w, c), the multiply-adds of
     every min-plus block product of `_pass_blocks`, plus _PRODUCT_MADDS per
-    product and chunk of first codes.  Stops counting once the total
-    passes `stop`.
+    product of each pass (one pass per first-slice class on a ring).  Stops
+    counting once the total passes `stop`.
     """
     slices, parts = _slice_plan(lattice)
     n_slices, width = slices.shape
@@ -1082,25 +1068,26 @@ def _exact_search_work(lattice: Lattice, electrons: int, stop: float = math.inf)
     else:
         firsts, work = [(1, 0)], 0
     for size, off in firsts:
-        n_chunks = -(-size // _FIRST_CHUNK)
         for _, _, blocks in _pass_blocks(width, n_slices, electrons, off, ring):
             if work > stop:
                 return work
             work += sum(size * sizes[b] * sizes[c] * (i_hi - i_lo + 1) for b, c, i_lo, i_hi in blocks)
-            work += _PRODUCT_MADDS * n_chunks * len(blocks)
+            work += _PRODUCT_MADDS * len(blocks)
     return work
 
 
 def _exact_search_bytes(lattice: Lattice) -> int:
     """Bytes of the distinct transfer tables plus the forward states that
-    one backtracking pass keeps, at the electron count that keeps the most."""
+    one backtracking pass keeps, at the electron count that keeps the most:
+    on a ring a rerun keeps one row per held first code, at most the
+    C(2w, w) codes of the largest first-slice class."""
     slices, parts = _slice_plan(lattice)
     n_slices, width = slices.shape
     top, n_codes = 2 * width, 4 ** width
     ring = len(parts) > n_slices
     # one layer for slice 0 and, on a ring, one for slice 1
     layers = 1 + ring + sum(top * k + 1 for k in range(1, n_slices - 1 - ring))
-    rows = min(math.comb(top, width), _FIRST_CHUNK) if ring else 1
+    rows = math.comb(top, width) if ring else 1
     tables = sum(n_codes ** key[0] for key in {key for key, _, _ in parts})
     return 8 * (tables + rows * layers * n_codes)
 
@@ -1172,10 +1159,10 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
     backtracking keeps every pattern whose DP sum lies within a proven
     rounding margin of the least one, and the minimum and its minimizers
     are decided on each candidate's energy recomputed from its integer
-    counts, bitwise equal to `energy`.  The forward pass runs over chunks
-    of first codes on a ring (one chunk on an open strip) and is rerun,
-    keeping its states from slice 0 on, for the first codes that hold a
-    candidate.
+    counts, bitwise equal to `energy`.  A ring runs one forward pass per
+    reachable electron class of its first slice (an open strip runs one
+    pass) and reruns it, keeping its states from slice 0 on, for the first
+    codes that hold a candidate.
 
     Raises ValueError for a lattice that `exact_search_fits` rejects, for
     an electron count outside 0..2 n_sites, for couplings so large that an
@@ -1193,17 +1180,18 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
         raise ValueError(f"electron count must lie in 0..{2 * n}")
     slices, parts = _slice_plan(lattice)
     n_slices, width = slices.shape
-    codes, count, _ = _code_classes(width)
+    codes, count, starts = _code_classes(width)
     n_codes = codes.size
     slack = _rounding_slack(lattice, p, len(parts))
     tables, closing = _transfer_tables(lattice, p)
 
-    # a ring's reachable first codes in chunks, an open strip's one kept pass
-    # as chunk None; each keeps the (row, last) pairs within the running margin
-    chunks = [None] if closing is None else _first_chunks(width, np.flatnonzero(
-        np.isin(count, _first_classes(width, n_slices, electrons))))
+    # a ring's passes, one per reachable class of first codes (a contiguous
+    # range of positions), an open strip's one kept pass as None; each keeps
+    # the (row, last) pairs within the running margin
+    passes = [None] if closing is None else [
+        np.arange(starts[a], starts[a + 1]) for a in _first_classes(width, n_slices, electrons)]
     low, near = math.inf, []
-    for firsts in chunks:
+    for firsts in passes:
         total, least = _forward(tables, closing, electrons, firsts, keep=closing is None)
         low = min(low, float(total.min()))
         row, last = np.nonzero(total <= low + slack)
@@ -1211,7 +1199,7 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
     threshold = low + slack
 
     # backtracking, depth first in chunks of `step`: a partial pattern fixes
-    # slices k..L-1 (path), its row in the chunk's first codes, its
+    # slices k..L-1 (path), its row in the pass's first codes, its
     # electrons in slices 0..k and the DP sum of its tables above slice k
     best = math.inf
     best_rows: list = []

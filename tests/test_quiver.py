@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -292,6 +293,11 @@ class TestFermionOps:
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):
             q.build_fermion_ops(q.Lattice(7, 1, "open"))
+
+    def test_size_cap_on_direct_construction(self):
+        # a hand-built table above the cap is refused before any check runs on it
+        with pytest.raises(ValueError, match="capped"):
+            q.FermionOps(q.Lattice(7, 1, "open"), np.zeros((14, 4 ** 7), complex))
 
     @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2), (2, 3)])
     def test_views_match_kronecker_reference(self, shape):
@@ -886,6 +892,21 @@ class TestGroundSearchExact:
                     if boundary == "open" or min(lx, ly) >= 2:
                         assert q.exact_search_fits(q.Lattice(lx, ly, boundary)), (lx, ly, boundary)
 
+    def test_cost_rule_admissions_frozen(self):
+        # the longest side admitted per boundary and width, over lx, ly <= 11
+        longest = {("open", 1): 11, ("open", 2): 11, ("open", 3): 11, ("open", 4): 11,
+                   ("open", 5): 9, ("periodic", 2): 11, ("periodic", 3): 11, ("periodic", 4): 5}
+        admitted, expected = set(), set()
+        for boundary in ("open", "periodic"):
+            for lx, ly in itertools.product(range(1, 12), repeat=2):
+                if boundary == "open" or min(lx, ly) >= 2:
+                    if q.exact_search_fits(q.Lattice(lx, ly, boundary)):
+                        admitted.add((lx, ly, boundary))
+                    if max(lx, ly) <= longest.get((boundary, min(lx, ly)), 0):
+                        expected.add((lx, ly, boundary))
+        assert len(expected) == 120
+        assert admitted == expected
+
     @pytest.mark.parametrize("shape", [(5, 5), (5, 6), (6, 5), (5, 8), (6, 6), (7, 9)])
     def test_cost_rule_rejects_wide_rings(self, shape):
         assert not q.exact_search_fits(q.Lattice(*shape, "periodic"))
@@ -907,7 +928,7 @@ class TestGroundSearchExact:
         lat = q.Lattice(lx, ly, boundary)
         p = canonical_params(0, 1)
         width = min(lx, ly)
-        codes, count, _ = q._code_classes(width)
+        codes, _, starts = q._code_classes(width)
         for electrons in range(2 * lat.n_sites + 1):
             dense = dense_least_totals(lat, p, electrons)
             tables, closing = q._transfer_tables(lat, p)
@@ -915,22 +936,27 @@ class TestGroundSearchExact:
                 total = q._forward(tables, None, electrons)[0]
             else:
                 total = np.full((codes.size, codes.size), np.inf)
-                classes = q._first_classes(width, len(tables), electrons)
-                for firsts in q._first_chunks(width, np.flatnonzero(np.isin(count, classes))):
+                for a in q._first_classes(width, len(tables), electrons):
+                    firsts = np.arange(starts[a], starts[a + 1])
                     total[firsts] = q._forward(tables, closing, electrons, firsts)[0]
             first = codes if dense.shape[0] > 1 else [0]
             dense = np.ascontiguousarray(dense[np.ix_(first, codes)])
             assert dense.tobytes() == np.ascontiguousarray(total).tobytes(), electrons
 
-    @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize("lx,ly", [(3, 3), (2, 4)])
-    def test_small_first_chunks_match_brute_force_oracle(self, monkeypatch, lx, ly, chunk):
-        # a class's candidates span several chunks of first codes, and each
-        # rerun for a chunk's held first codes renumbers their rows
+    def test_held_first_codes_match_brute_force_oracle(self, monkeypatch, lx, ly):
+        # each rerun keeps only the first codes that hold a candidate and
+        # renumbers their rows; some reruns hold codes from inside a class
         lat = q.Lattice(lx, ly, "periodic")
-        # the cost rule's cached answer is taken at the default chunk size
-        assert q.exact_search_fits(lat)
-        monkeypatch.setattr(q, "_FIRST_CHUNK", chunk)
+        starts = q._code_classes(min(lx, ly))[2]
+        real, inner = q._forward, []
+
+        def spy(tables, closing, electrons, firsts=None, keep=False):
+            if keep:
+                inner.append(firsts[0] not in starts or np.any(np.diff(firsts) > 1))
+            return real(tables, closing, electrons, firsts, keep)
+
+        monkeypatch.setattr(q, "_forward", spy)
         p = canonical_params(0, 1)
         electron_counts = range(2 * lat.n_sites + 1)
         oracle = brute_force_minima(lat, p, electron_counts)
@@ -938,13 +964,40 @@ class TestGroundSearchExact:
             e_min, mins = q.ground_search_exact(lat, p, electrons)
             assert e_min == oracle[electrons][0], electrons
             assert [m.codes for m in mins] == oracle[electrons][1], electrons
+        assert any(inner)
+
+    def test_one_pass_per_first_class_then_held_reruns(self, monkeypatch):
+        lat = q.Lattice(4, 4, "periodic")
+        _, count, starts = q._code_classes(4)
+        real, calls = q._forward, []
+
+        def spy(tables, closing, electrons, firsts=None, keep=False):
+            calls.append((keep, firsts.copy()))
+            return real(tables, closing, electrons, firsts, keep)
+
+        monkeypatch.setattr(q, "_forward", spy)
+        q.ground_search_exact(lat, canonical_params(0, 1), 12)
+        passes = [f for keep, f in calls if not keep]
+        reruns = [f for keep, f in calls if keep]
+        assert [keep for keep, _ in calls] == [False] * len(passes) + [True] * len(reruns)
+        classes = q._first_classes(4, 4, 12)
+        assert len(passes) == len(classes) == 9
+        for a, firsts in zip(classes, passes):
+            assert np.array_equal(firsts, np.arange(starts[a], starts[a + 1]))
+        assert [f.size for f in passes] == [1, 8, 28, 56, 70, 56, 28, 8, 1]
+        rerun_classes = [int(count[f[0]]) for f in reruns]
+        assert len(set(rerun_classes)) == len(rerun_classes)
+        for firsts in reruns:
+            assert (count[firsts] == count[firsts[0]]).all()
+            assert np.array_equal(firsts, np.unique(firsts))
+        assert [f.size for f in reruns] == [4, 8, 8]
 
     @pytest.mark.parametrize("lx,ly,boundary", [
         (3, 3, "periodic"), (3, 4, "periodic"), (4, 4, "periodic"), (4, 4, "open"),
     ])
     def test_memory_model_covers_kept_states(self, lx, ly, boundary):
         # the distinct transfer tables plus the states one kept pass holds
-        # over the largest chunk of first codes, at half filling
+        # over the largest class of first codes, at half filling
         lat = q.Lattice(lx, ly, boundary)
         width, electrons = min(lx, ly), lat.n_sites
         tables, closing = q._transfer_tables(lat, canonical_params(0, 1))
@@ -953,9 +1006,9 @@ class TestGroundSearchExact:
         if closing is None:
             largest = None
         else:
-            count = q._code_classes(width)[1]
+            starts = q._code_classes(width)[2]
             classes = q._first_classes(width, len(tables), electrons)
-            largest = max(q._first_chunks(width, np.flatnonzero(np.isin(count, classes))), key=len)
+            largest = max((np.arange(starts[a], starts[a + 1]) for a in classes), key=len)
         least = q._forward(tables, closing, electrons, largest, keep=True)[1]
         kept = sum(h.nbytes for _, h in least)
         assert sum(distinct.values()) + kept <= q._exact_search_bytes(lat)
@@ -990,6 +1043,23 @@ class TestGroundSearchExact:
 
 
 class TestGroundSearchAnneal:
+    def test_term_lists_share_one_count_row_per_kind(self):
+        lat = q.Lattice(30, 30, "periodic")
+        tracemalloc.start()
+        try:
+            terms = q._terms.__wrapped__(lat)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # a site term pads s1 and s2 with the phantom hole, a bond term s2
+        hole, shared = lat.n_sites, {}
+        for _, s1, s2, counts, _ in itertools.chain.from_iterable(terms[2]):
+            kind = 0 if s1 == hole else 64 if s2 == hole else 128
+            assert counts is shared.setdefault(kind, counts)
+        assert sorted(shared) == [0, 64, 128]
+        # a copy of the 64-entry row in every touch entry kept 10.4 MB
+        assert kept < 4 << 20
+
     def test_deterministic_for_seed(self, exact33):
         lat, p, _ = exact33
         runs = [q.ground_search_anneal(lat, p, 7, rng=np.random.default_rng(42))
