@@ -966,6 +966,38 @@ class TestGroundSearchExact:
             assert [m.codes for m in mins] == oracle[electrons][1], electrons
         assert any(inner)
 
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("lx,ly", [(3, 3), (2, 4)])
+    def test_small_first_chunks_match_brute_force_oracle(self, monkeypatch, lx, ly, chunk):
+        # every pass and rerun split into chunks of first codes gives the
+        # same rows: a class's candidates span several chunks, and the
+        # search renumbers each rerun's held first codes across them
+        lat = q.Lattice(lx, ly, "periodic")
+        real, split = q._forward, []
+
+        def chunked(tables, closing, electrons, firsts=None, keep=False):
+            if firsts is None or firsts.size <= chunk:
+                return real(tables, closing, electrons, firsts, keep)
+            split.append(keep)
+            parts = [real(tables, closing, electrons, firsts[i:i + chunk], keep)
+                     for i in range(0, firsts.size, chunk)]
+            total = np.concatenate([t for t, _ in parts])
+            if not keep:
+                return total, None
+            least = [(off, np.concatenate([lst[j][1] for _, lst in parts]))
+                     for j, (off, _) in enumerate(parts[0][1])]
+            return total, least
+
+        monkeypatch.setattr(q, "_forward", chunked)
+        p = canonical_params(0, 1)
+        electron_counts = range(2 * lat.n_sites + 1)
+        oracle = brute_force_minima(lat, p, electron_counts)
+        for electrons in electron_counts:
+            e_min, mins = q.ground_search_exact(lat, p, electrons)
+            assert e_min == oracle[electrons][0], electrons
+            assert [m.codes for m in mins] == oracle[electrons][1], electrons
+        assert False in split and True in split
+
     def test_one_pass_per_first_class_then_held_reruns(self, monkeypatch):
         lat = q.Lattice(4, 4, "periodic")
         _, count, starts = q._code_classes(4)
