@@ -849,15 +849,17 @@ _PRODUCT_ENTRIES = 1 << 15  # partial sums of one min-plus product per numpy pas
 # that a run at the cap peaks near 140 MB above a bare interpreter
 _MAX_MINIMIZERS = 200_000
 # Cost rule of the exact search, in multiply-adds of its forward pass (about
-# 4 ns each on a 2-vCPU Linux VM, Python 3.11, numpy 2.4).  One min-plus
-# block product also costs _PRODUCT_MADDS of them in numpy call overhead,
-# and one byte of a transfer table or a kept state _BYTE_MADDS.  The
-# budget is about 1 s there.  At half filling 4x4 periodic counts 6.2e7
-# (runs in 0.14 s), 4x5 periodic 2.1e8 (0.4 s) and 5x9 open 2.5e8 (0.5 s);
-# 4x6 periodic counts 4.3e8 and is left to the annealer.
-_PRODUCT_MADDS = 4_000
+# 2 ns each on a 2-vCPU Linux VM, Python 3.11, numpy 2.4, timed in fresh
+# processes).  One min-plus block product also costs _PRODUCT_MADDS of them
+# in numpy call overhead (about 30 us), and one byte of a transfer table or a
+# kept state _BYTE_MADDS, more than its time, so that an admitted lattice
+# keeps at most _EXACT_BUDGET / _BYTE_MADDS bytes (50 MB).  The budget is about
+# 1 s there.  At half filling 4x4 periodic counts 3.2e7 (runs in 0.05 s), 4x6
+# periodic 1.1e8 (0.15 s), 4x11 periodic 4.7e8 (0.8 s) and 5x13 open 4.9e8
+# (0.7 s); 5x5 periodic counts 1.1e9 (1.9 s) and is left to the annealer.
+_PRODUCT_MADDS = 15_000
 _BYTE_MADDS = 10
-_EXACT_BUDGET = 250_000_000
+_EXACT_BUDGET = 500_000_000
 
 
 @lru_cache(maxsize=8)
@@ -873,6 +875,36 @@ def _code_classes(width: int):
     count = np.array(_CODE_ELECTRONS)[(np.arange(4 ** width)[:, None] >> shifts) & 3].sum(axis=1)
     codes = np.argsort(count, kind="stable")
     return codes, count[codes], np.searchsorted(count[codes], np.arange(2 * width + 2))
+
+
+@lru_cache(maxsize=8)
+def _code_images(width: int, periodic: bool):
+    """The slice group G as images of code positions: (images, distinct, reps).
+
+    G is spin flip x the reflection across a slice, x the w translations
+    along it on a ring (|G| = 4 or 4w); applied to every slice it maps each
+    table's terms onto themselves.  images[g, i] is the `_code_classes`
+    position of g on code i, distinct[g, i] marks the first g of each
+    distinct image (distinct[:, i].sum() is the orbit size), and reps lists
+    each orbit's least position, in order.
+    """
+    codes = _code_classes(width)[0]
+    r = np.arange(width)
+    digits = (codes[:, None] >> 2 * r) & 3
+    perms = [np.roll(r, s) for s in range(width if periodic else 1)]
+    perms += [m[::-1] for m in perms]
+    flips = np.array([[0, 1, 2, 3], [0, 2, 1, 3]])
+    images = np.argsort(codes)[np.array([(f[digits[:, m]] << 2 * r).sum(axis=1)
+                                         for f in flips for m in perms])]
+    distinct = np.array([(images[:g] != image).all(axis=0) for g, image in enumerate(images)])
+    return images, distinct, np.flatnonzero(images.min(axis=0) == np.arange(codes.size))
+
+
+@lru_cache(maxsize=8)
+def _ring_firsts(width: int) -> tuple:
+    """A ring's first codes per electron class: the orbit representatives in it."""
+    reps = _code_images(width, True)[2]
+    return tuple(np.split(reps, np.searchsorted(reps, _code_classes(width)[2][1:-1])))
 
 
 @lru_cache(maxsize=8)
@@ -926,21 +958,29 @@ def _slice_table(lattice: Lattice, p: QuiverParams, group, *slice_sites) -> np.n
 
     A slice code packs the slice's w site codes, site j in bits 2j, 2j + 1;
     the result has one axis per slice over the 4**w codes in the order of
-    `_code_classes`.  Rows are gathered _TABLE_ROWS at a time.
+    `_code_classes`.  An entry is `_combine` of counts that the group of
+    `_code_images` keeps, so T[g c, g c'] == T[c, c'] bitwise: only the
+    rows at representatives of the first slice are counted, _TABLE_ROWS
+    entries at a time, and scattered to their images.
     """
-    width = len(slice_sites[0])
+    width, n_axes = len(slice_sites[0]), len(slice_sites)
     codes = _code_classes(width)[0]
+    images, _, reps = _code_images(width, lattice.boundary == "periodic")
     digits = ((codes[:, None] >> 2 * np.arange(width)) & 3).astype(np.uint8)
-    shape = (codes.size,) * len(slice_sites)
-    table = np.empty(math.prod(shape))
+    shape = (reps.size,) + (codes.size,) * (n_axes - 1)
+    rows = np.empty(math.prod(shape))
     padded = np.zeros((_TABLE_ROWS, lattice.n_sites + 1), dtype=np.uint8)
-    for start in range(0, table.size, _TABLE_ROWS):
-        index = np.unravel_index(np.arange(start, min(start + _TABLE_ROWS, table.size)), shape)
-        chunk = padded[:index[0].size]
-        for sites, code in zip(slice_sites, index):
+    for start in range(0, rows.size, _TABLE_ROWS):
+        first, *index = np.unravel_index(np.arange(start, min(start + _TABLE_ROWS, rows.size)),
+                                         shape)
+        chunk = padded[:first.size]
+        for sites, code in zip(slice_sites, (reps[first], *index)):
             chunk[:, sites] = digits[code]
-        table[start:start + chunk.shape[0]] = _combine(_count_terms(chunk, *group), p)
-    return table.reshape(shape)
+        rows[start:start + chunk.shape[0]] = _combine(_count_terms(chunk, *group), p)
+    table = np.empty((codes.size,) * n_axes)
+    for image in images:
+        table[np.ix_(image[reps], *[image] * (n_axes - 1))] = rows.reshape(shape)
+    return table
 
 
 def _transfer_tables(lattice: Lattice, p: QuiverParams):
@@ -1001,13 +1041,14 @@ def _forward(tables, closing, electrons: int, firsts=None, keep: bool = False):
     """One min-plus forward pass over the slices, block by electron class.
 
     firsts: on a ring, positions of first-slice codes that all hold `a`
-    electrons; None otherwise.  The state after slice k (from slice 1 on a
-    ring, 0 otherwise) is h[f, i, code]: the least DP sum over slices 0..k
-    that ends in `code` and holds off + i electrons in slices 0..k-1, off =
-    a on a ring and 0 otherwise.  A DP sum adds table entries in slice
-    order, T_0 + T_1 + ... + T_k, then the closing entry.  Each step takes
-    the block products of `_pass_blocks`; every cell they skip, from which
-    `electrons` is out of reach, stays inf.
+    electrons (the search passes orbit representatives); None otherwise.
+    The state after slice k (from slice 1 on a ring, 0 otherwise) is
+    h[f, i, code]: the least DP sum over slices 0..k that ends in `code`
+    and holds off + i electrons in slices 0..k-1, off = a on a ring and 0
+    otherwise.  A DP sum adds table entries in slice order, T_0 + T_1 +
+    ... + T_k, then the closing entry.  Each step takes the block products
+    of `_pass_blocks`; every cell they skip, from which `electrons` is out
+    of reach, stays inf.
 
     Returns (total, least): total[f, last] is the least DP sum with
     `electrons` in all (inf where none); least lists (off, h) for slices
@@ -1055,15 +1096,16 @@ def _exact_search_work(lattice: Lattice, electrons: int, stop: float = math.inf)
 
     Counts, in integers from the class sizes C(2w, c), the multiply-adds of
     every min-plus block product of `_pass_blocks`, plus _PRODUCT_MADDS per
-    product of each pass (one pass per first-slice class on a ring).  Stops
-    counting once the total passes `stop`.
+    product of each pass (one pass per first-slice class on a ring, over its
+    `_ring_firsts`).  Stops counting once the total passes `stop`.
     """
     slices, parts = _slice_plan(lattice)
     n_slices, width = slices.shape
     ring = len(parts) > n_slices
     sizes = [math.comb(2 * width, c) for c in range(2 * width + 1)]
     if ring:
-        firsts = [(sizes[a], a) for a in _first_classes(width, n_slices, electrons)]
+        reps = _ring_firsts(width)
+        firsts = [(reps[a].size, a) for a in _first_classes(width, n_slices, electrons)]
         work = 4 ** width * sum(size for size, _ in firsts)
     else:
         firsts, work = [(1, 0)], 0
@@ -1080,14 +1122,14 @@ def _exact_search_bytes(lattice: Lattice) -> int:
     """Bytes of the distinct transfer tables plus the forward states that
     one backtracking pass keeps, at the electron count that keeps the most:
     on a ring a rerun keeps one row per held first code, at most the
-    C(2w, w) codes of the largest first-slice class."""
+    representatives of the largest first-slice class."""
     slices, parts = _slice_plan(lattice)
     n_slices, width = slices.shape
     top, n_codes = 2 * width, 4 ** width
     ring = len(parts) > n_slices
     # one layer for slice 0 and, on a ring, one for slice 1
     layers = 1 + ring + sum(top * k + 1 for k in range(1, n_slices - 1 - ring))
-    rows = math.comb(top, width) if ring else 1
+    rows = max(reps.size for reps in _ring_firsts(width)) if ring else 1
     tables = sum(n_codes ** key[0] for key in {key for key, _, _ in parts})
     return 8 * (tables + rows * layers * n_codes)
 
@@ -1099,8 +1141,9 @@ def exact_search_fits(lattice: Lattice) -> bool:
     The cost rule: the forward pass's work at half filling, the costliest
     electron count (see `_exact_search_work`), plus _BYTE_MADDS per byte of
     its tables and kept states (`_exact_search_bytes`) stays within one
-    budget of about 1 s.  It admits every lattice of at most 12 sites and
-    4x4 in either boundary, and no periodic ring of width 5 or more.
+    budget of about 1 s.  It admits every lattice of at most 12 sites,
+    strips of width 4 and 5 up to 4x47 and 5x13, rings of width 3 and 4 up
+    to 3x48 and 4x11 (narrower ones longer), and no ring of width 5 or more.
     """
     n_slices, width = max(lattice.lx, lattice.ly), min(lattice.lx, lattice.ly)
     # at least one table of 16**w entries and one block product per slice
@@ -1160,15 +1203,18 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
     rounding margin of the least one, and the minimum and its minimizers
     are decided on each candidate's energy recomputed from its integer
     counts, bitwise equal to `energy`.  A ring runs one forward pass per
-    reachable electron class of its first slice (an open strip runs one
-    pass) and reruns it, keeping its states from slice 0 on, for the first
-    codes that hold a candidate.
+    reachable electron class of its first slice, over the class's orbit
+    representatives (`_code_images`; an open strip runs one pass), and
+    reruns it, keeping its states from slice 0 on, for the representatives
+    that hold a candidate.  g maps the patterns from first code F onto
+    those from g F at equal DP sums, so one g per distinct image of F maps
+    F's minimizers onto the rest of its orbit.
 
     Raises ValueError for a lattice that `exact_search_fits` rejects, for
     an electron count outside 0..2 n_sites, for couplings so large that an
     energy could overflow (no finite rounding margin exists then), and
-    once more than _MAX_MINIMIZERS candidates are found, before any
-    Occupation is built.
+    once more than _MAX_MINIMIZERS candidates are found (a ring's once per
+    code of the first code's orbit), before any Occupation is built.
     """
     n = lattice.n_sites
     if not exact_search_fits(lattice):
@@ -1180,16 +1226,16 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
         raise ValueError(f"electron count must lie in 0..{2 * n}")
     slices, parts = _slice_plan(lattice)
     n_slices, width = slices.shape
-    codes, count, starts = _code_classes(width)
+    codes, count, _ = _code_classes(width)
     n_codes = codes.size
     slack = _rounding_slack(lattice, p, len(parts))
     tables, closing = _transfer_tables(lattice, p)
 
-    # a ring's passes, one per reachable class of first codes (a contiguous
-    # range of positions), an open strip's one kept pass as None; each keeps
-    # the (row, last) pairs within the running margin
+    # a ring's passes, one per reachable class of first codes over the
+    # class's orbit representatives, an open strip's one kept pass as None;
+    # each keeps the (row, last) pairs within the running margin
     passes = [None] if closing is None else [
-        np.arange(starts[a], starts[a + 1]) for a in _first_classes(width, n_slices, electrons)]
+        _ring_firsts(width)[a] for a in _first_classes(width, n_slices, electrons)]
     low, near = math.inf, []
     for firsts in passes:
         total, least = _forward(tables, closing, electrons, firsts, keep=closing is None)
@@ -1202,9 +1248,16 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
     # slices k..L-1 (path), its row in the pass's first codes, its
     # electrons in slices 0..k and the DP sum of its tables above slice k
     best = math.inf
-    best_rows: list = []
+    best_paths: list = []
     n_candidates = 0
     shifts = 2 * np.arange(width)
+    images, distinct, _ = _code_images(width, lattice.boundary == "periodic")
+
+    def decode(paths):
+        site_codes = np.zeros((paths.shape[0], n), dtype=np.uint8)
+        site_codes[:, slices] = (codes[paths][:, :, None] >> shifts) & 3
+        return site_codes
+
     every = np.arange(n_codes)
     step = max(1, _FRONTIER_ENTRIES // n_codes)
     for firsts, row, last, value, least in near:
@@ -1224,20 +1277,19 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
                 stack.append((k, row[step:], path[step:], e[step:], rest[step:]))
                 row, path, e, rest = row[:step], path[:step], e[:step], rest[:step]
             if k == 0:
-                n_candidates += row.size
+                # a ring's candidate stands for one per code of its first code's orbit
+                n_candidates += row.size if firsts is None else int(distinct[:, path[:, 0]].sum())
                 if n_candidates > _MAX_MINIMIZERS:
                     raise ValueError(
                         f"more than {_MAX_MINIMIZERS} candidate minimizers on this input; "
                         f"the exact search lists at most {_MAX_MINIMIZERS}")
-                site_codes = np.zeros((row.size, n), dtype=np.uint8)
-                site_codes[:, slices] = (codes[path][:, :, None] >> shifts) & 3
-                e_cand = _combine(_term_counts(site_codes, lattice), p)
+                e_cand = _combine(_term_counts(decode(path), lattice), p)
                 emin = float(e_cand.min())
                 if emin < best:
                     best = emin
-                    best_rows = []
+                    best_paths = []
                 if emin == best:
-                    best_rows.append(site_codes[e_cand == best])
+                    best_paths.append(path[e_cand == best])
                 continue
             # a finite DP sum holds at least the slice's electrons, so e stays >= 0
             e = e - count[path[:, 0]]
@@ -1250,7 +1302,12 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
             hit, prev = np.nonzero(dp <= threshold)
             path = np.concatenate((prev[:, None], path[hit]), axis=1)
             stack.append((k - 1, row[hit], path, e[hit], rest[hit, prev]))
-    rows = np.concatenate(best_rows)
+    paths = np.concatenate(best_paths)
+    if closing is not None:
+        # the minimizers from first code g F are g applied to those from F:
+        # one g per distinct image of each first code, so no row repeats
+        paths = np.concatenate([image[paths[d[paths[:, 0]]]] for image, d in zip(images, distinct)])
+    rows = decode(paths)
     # lexicographic order of the code tuples, site 0 first
     rows = rows[np.lexsort(rows.T[::-1])]
     minimizers = []

@@ -68,6 +68,105 @@ def brute_force_minima(lattice, p, electron_counts):
     return out
 
 
+def definition_counts(codes, sites, bonds, triples):
+    """The five energy counts (see energy_batch) of code rows (m, n_sites),
+    read from the definition over the given sites, ordered bonds and
+    diagonal (center, from, to) triples."""
+    codes = codes.astype(np.int16)
+    spins = (codes & 1, codes >> 1)
+    hole = (1 - spins[0]) * (1 - spins[1])
+    s = np.array(sites, dtype=np.intp)
+    a, b = np.array(bonds, dtype=np.intp).reshape(-1, 2).T
+    c, m, nn = np.array(triples, dtype=np.intp).reshape(-1, 3).T
+    diag = sum(x[:, nn] * (1 - x[:, m]) for x in spins)
+    return np.array([(spins[0][:, s] * spins[1][:, s]).sum(axis=1),
+                     sum((x[:, b] * (1 - x[:, a])).sum(axis=1) for x in spins),
+                     (hole[:, a] * hole[:, b]).sum(axis=1),
+                     diag.sum(axis=1),
+                     (hole[:, c] * diag).sum(axis=1)])
+
+
+@functools.lru_cache(maxsize=None)
+def row_factored_minima(lattice, params, electron_counts, block=16):
+    """Oracle: brute_force_minima of a three-row lattice (lx = 3) for each of
+    `params`, without a table over all 4**n_sites patterns at once.
+
+    Every energy term touches one row or two, so a pattern's five counts
+    are the sum of exact integer counts per row and per row pair, each read
+    from the definition; its energy is `_combine` of them, bitwise that of
+    energy_batch.  Patterns run in lexicographic order, `block` first-row
+    codes at a time.
+    """
+    assert lattice.lx == 3
+    rows = all_patterns(lattice.ly)
+    n_r, ly = rows.shape
+    terms = {}
+    for kind, items in enumerate(([(s,) for s in range(lattice.n_sites)],
+                                  lattice.bonds_ordered, lattice.nnn_triples)):
+        for t in items:
+            key = tuple(sorted({lattice.coords(s)[0] for s in t}))
+            terms.setdefault(key, ([], [], []))[kind].append(t[0] if kind == 0 else t)
+    grid = np.indices((n_r, n_r)).reshape(2, -1)
+    parts = {}
+    for key, (sites, bonds, triples) in terms.items():
+        codes = np.zeros((n_r ** len(key), lattice.n_sites), dtype=np.uint8)
+        for x, index in zip(key, grid if len(key) == 2 else [np.arange(n_r)]):
+            codes[:, x * ly:(x + 1) * ly] = rows[index]
+        counts = definition_counts(codes, sites, bonds, triples).astype(np.int16)
+        parts[key] = counts.reshape(5, *(n_r,) * len(key))
+    one = [parts[x,] for x in range(3)]
+    absent = np.zeros((5, n_r, n_r), dtype=np.int16)
+    pair = {key: parts.get(key, absent) for key in ((0, 1), (1, 2), (0, 2))}
+    electrons_of = ((rows & 1) + (rows >> 1)).sum(axis=1, dtype=int)
+    out = [{} for _ in params]
+    for lo in range(0, n_r, block):
+        r0 = slice(lo, lo + block)
+        counts = (one[0][:, r0, None, None] + one[1][:, None, :, None] + one[2][:, None, None, :]
+                  + pair[0, 1][:, r0, :, None] + pair[1, 2][:, None, :, :]
+                  + pair[0, 2][:, r0, None, :]).reshape(5, -1)
+        electrons = (electrons_of[r0, None, None] + electrons_of[None, :, None]
+                     + electrons_of[None, None, :]).ravel()
+        order = np.argsort(electrons, kind="stable")
+        bounds = np.searchsorted(electrons[order], np.arange(2 * lattice.n_sites + 2))
+        for p, found in zip(params, out):
+            e = q._combine(counts, p)
+            for count in electron_counts:
+                group = order[bounds[count]:bounds[count + 1]]
+                if group.size == 0:
+                    continue
+                least = e[group].min()
+                hit = group[e[group] == least] + lo * n_r * n_r
+                if count not in found or least < found[count][0]:
+                    found[count] = (least, [hit])
+                elif least == found[count][0]:
+                    found[count][1].append(hit)
+    result = []
+    for found in out:
+        minima = {}
+        for count, (least, hits) in found.items():
+            index = np.concatenate(hits)
+            codes = np.concatenate([rows[r] for r in np.unravel_index(index, (n_r,) * 3)], axis=1)
+            minima[count] = float(least), [tuple(row) for row in codes.tolist()]
+        result.append(minima)
+    return result
+
+
+def row_by_row_tables(lattice, p):
+    """The table of every part of `_slice_plan`, every entry counted, in natural code order."""
+    slices, parts = q._slice_plan(lattice)
+    width = slices.shape[1]
+    n_codes = 4 ** width
+    shifts = 2 * np.arange(width)
+    tables = []
+    for _, (sites, rows), span in parts:
+        codes = np.indices((n_codes,) * len(span)).reshape(len(span), -1)
+        padded = np.zeros((codes.shape[1], lattice.n_sites + 1), dtype=np.uint8)
+        for k, code in zip(span, codes):
+            padded[:, slices[k]] = (code[:, None] >> shifts) & 3
+        tables.append(q._combine(q._count_terms(padded, sites, rows), p).reshape((n_codes,) * len(span)))
+    return tables
+
+
 def dense_least_totals(lattice, p, electrons):
     """Oracle: the least DP sums total[first, last] of the dense transfer-matrix pass.
 
@@ -80,13 +179,7 @@ def dense_least_totals(lattice, p, electrons):
     width = slices.shape[1]
     n_codes = 4 ** width
     shifts = 2 * np.arange(width)
-    tables = []
-    for _, (sites, rows), span in parts:
-        codes = np.indices((n_codes,) * len(span)).reshape(len(span), -1)
-        padded = np.zeros((codes.shape[1], lattice.n_sites + 1), dtype=np.uint8)
-        for k, code in zip(span, codes):
-            padded[:, slices[k]] = (code[:, None] >> shifts) & 3
-        tables.append(q._combine(q._count_terms(padded, sites, rows), p).reshape((n_codes,) * len(span)))
+    tables = row_by_row_tables(lattice, p)
     closing = tables.pop().T if len(parts) > len(slices) else np.zeros((1, n_codes))
     code_electrons = np.array(q._CODE_ELECTRONS)[(np.arange(n_codes)[:, None] >> shifts) & 3].sum(axis=1)
     ring = closing.shape[0] > 1
@@ -893,9 +986,10 @@ class TestGroundSearchExact:
                         assert q.exact_search_fits(q.Lattice(lx, ly, boundary)), (lx, ly, boundary)
 
     def test_cost_rule_admissions_frozen(self):
-        # the longest side admitted per boundary and width, over lx, ly <= 11
+        # the longest side admitted per boundary and width, over lx, ly <= 11:
+        # every width up to 4 in both boundaries and open width 5
         longest = {("open", 1): 11, ("open", 2): 11, ("open", 3): 11, ("open", 4): 11,
-                   ("open", 5): 9, ("periodic", 2): 11, ("periodic", 3): 11, ("periodic", 4): 5}
+                   ("open", 5): 11, ("periodic", 2): 11, ("periodic", 3): 11, ("periodic", 4): 11}
         admitted, expected = set(), set()
         for boundary in ("open", "periodic"):
             for lx, ly in itertools.product(range(1, 12), repeat=2):
@@ -904,8 +998,27 @@ class TestGroundSearchExact:
                         admitted.add((lx, ly, boundary))
                     if max(lx, ly) <= longest.get((boundary, min(lx, ly)), 0):
                         expected.add((lx, ly, boundary))
-        assert len(expected) == 120
+        assert len(expected) == 136
         assert admitted == expected
+        # past 11 sites a side: the last admitted length of the longer widths
+        for width, length, boundary in [(4, 47, "open"), (5, 13, "open"),
+                                        (3, 48, "periodic"), (4, 11, "periodic")]:
+            assert q.exact_search_fits(q.Lattice(width, length, boundary))
+            assert not q.exact_search_fits(q.Lattice(length + 1, width, boundary))
+
+    def test_cost_rule_builds_no_image_table_past_the_floor(self, monkeypatch):
+        # representatives are counted only after the floor check, so width 6
+        # and up are turned away without an image table
+        real = q._code_images
+
+        def guarded(width, periodic):
+            assert width < 6, width
+            return real(width, periodic)
+
+        monkeypatch.setattr(q, "_code_images", guarded)
+        for shape, boundary in [((6, 6), "open"), ((6, 9), "periodic"), ((8, 7), "periodic")]:
+            assert not q.exact_search_fits.__wrapped__(q.Lattice(*shape, boundary))
+        assert q.exact_search_fits.__wrapped__(q.Lattice(4, 11, "periodic"))
 
     @pytest.mark.parametrize("shape", [(5, 5), (5, 6), (6, 5), (5, 8), (6, 6), (7, 9)])
     def test_cost_rule_rejects_wide_rings(self, shape):
@@ -943,6 +1056,97 @@ class TestGroundSearchExact:
             dense = np.ascontiguousarray(dense[np.ix_(first, codes)])
             assert dense.tobytes() == np.ascontiguousarray(total).tobytes(), electrons
 
+    @pytest.mark.parametrize("boundary", ["open", "periodic"])
+    @pytest.mark.parametrize("lx,ly", [(2, 3), (3, 4), (4, 4)])
+    def test_transfer_tables_invariant_under_slice_group(self, lx, ly, boundary):
+        # T[g c, g c'] == T[c, c'] bitwise for every g of the slice group,
+        # and the tables scattered from representative rows are, byte for
+        # byte, the tables counted entry by entry
+        lat = q.Lattice(lx, ly, boundary)
+        width = min(lx, ly)
+        codes = q._code_classes(width)[0]
+        images = q._code_images(width, boundary == "periodic")[0]
+        assert len(images) == (4 * width if boundary == "periodic" else 4)
+        for p in (canonical_params(0, 1), canonical_params(1, 0, "unordered")):
+            tables, closing = q._transfer_tables(lat, p)
+            built = tables + ([] if closing is None else [closing.T])
+            reference = row_by_row_tables(lat, p)
+            assert len(built) == len(reference)
+            for table, ref in zip(built, reference):
+                ref = np.ascontiguousarray(ref[np.ix_(*[codes] * ref.ndim)])
+                assert np.ascontiguousarray(table).tobytes() == ref.tobytes()
+                for image in images:
+                    moved = np.ascontiguousarray(table[np.ix_(*[image] * table.ndim)])
+                    assert moved.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("lx,ly,boundary", [
+        (2, 3, "periodic"), (2, 4, "periodic"), (3, 3, "periodic"), (3, 4, "periodic"),
+        (3, 3, "open"),
+    ])
+    def test_orbit_expansion_matches_brute_force_oracle(self, lx, ly, boundary):
+        # the minimizers found from representative first codes, expanded
+        # over their orbits, are every minimizer; width 2 has doubled bonds
+        # and a translation equal to the reflection
+        lat = q.Lattice(lx, ly, boundary)
+        params = (canonical_params(0, 1), canonical_params(1, 0))
+        electron_counts = tuple(range(2 * lat.n_sites + 1))
+        if lat.n_sites > 9:
+            oracles = row_factored_minima(lat, params, electron_counts)
+        else:
+            oracles = [brute_force_minima(lat, p, electron_counts) for p in params]
+        for p, oracle in zip(params, oracles):
+            for electrons in electron_counts:
+                e_min, mins = q.ground_search_exact(lat, p, electrons)
+                assert e_min == oracle[electrons][0], (p.alpha_q, electrons)
+                assert [m.codes for m in mins] == oracle[electrons][1], (p.alpha_q, electrons)
+
+    @pytest.mark.parametrize("lx,ly,boundary", [(3, 3, "periodic"), (3, 3, "open"), (3, 2, "periodic")])
+    def test_row_factored_oracle_matches_brute_force(self, lx, ly, boundary):
+        lat = q.Lattice(lx, ly, boundary)
+        params = (canonical_params(0, 1), canonical_params(1, 0, "unordered"))
+        electron_counts = tuple(range(2 * lat.n_sites + 1))
+        expected = [brute_force_minima(lat, p, electron_counts) for p in params]
+        assert row_factored_minima(lat, params, electron_counts, block=5) == expected
+
+    def test_minimizer_cap_counts_every_orbit_image(self, monkeypatch):
+        # a candidate from a representative first code F stands for one
+        # candidate per code of F's orbit, so the cap trips where the
+        # orbit-weighted count of the brute-force candidates exceeds it, and
+        # before any Occupation is built.  Distinct energies at these
+        # couplings differ by at least 0.2, far above the rounding margin,
+        # so the candidates are exactly the minimizers.
+        lat = q.Lattice(3, 4, "periodic")
+        p = canonical_params(0, 1)
+        electron_counts = tuple(range(2 * lat.n_sites + 1))
+        oracle = row_factored_minima(lat, (p, canonical_params(1, 0)), electron_counts)[0]
+        slices = q._slice_plan(lat)[0]
+        position = np.argsort(q._code_classes(3)[0])
+        _, distinct, reps = q._code_images(3, True)
+        weighted = {}
+        for electrons in electron_counts:
+            rows = np.array(oracle[electrons][1])
+            first = position[(rows[:, slices[0]] << 2 * np.arange(3)).sum(axis=1)]
+            first = first[np.isin(first, reps)]
+            weighted[electrons] = int(distinct[:, first].sum())
+            assert weighted[electrons] == rows.shape[0]
+        cap = sorted(weighted.values())[len(weighted) // 2]
+        monkeypatch.setattr(q, "_MAX_MINIMIZERS", cap)
+        real, built = q.Occupation, []
+        monkeypatch.setattr(q, "Occupation", lambda codes: built.append(codes) or real(codes))
+        raised = set()
+        for electrons in electron_counts:
+            built.clear()
+            try:
+                _, mins = q.ground_search_exact(lat, p, electrons)
+            except ValueError as err:
+                assert f"more than {cap} candidate minimizers" in str(err)
+                assert built == []
+                raised.add(electrons)
+            else:
+                assert len(mins) == len(built) == weighted[electrons]
+        assert raised == {e for e, w in weighted.items() if w > cap}
+        assert 0 < len(raised) < len(electron_counts)
+
     @pytest.mark.parametrize("lx,ly", [(3, 3), (2, 4)])
     def test_held_first_codes_match_brute_force_oracle(self, monkeypatch, lx, ly):
         # each rerun keeps only the first codes that hold a candidate and
@@ -966,12 +1170,15 @@ class TestGroundSearchExact:
             assert [m.codes for m in mins] == oracle[electrons][1], electrons
         assert any(inner)
 
-    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("chunk", [1, 2])
     @pytest.mark.parametrize("lx,ly", [(3, 3), (2, 4)])
     def test_small_first_chunks_match_brute_force_oracle(self, monkeypatch, lx, ly, chunk):
         # every pass and rerun split into chunks of first codes gives the
         # same rows: a class's candidates span several chunks, and the
-        # search renumbers each rerun's held first codes across them
+        # search renumbers each rerun's held first codes across them.  A
+        # class holds at most 3 representatives at widths 2 and 3; with
+        # every coupling 0 each of them holds a candidate, so chunks of 2
+        # split reruns too
         lat = q.Lattice(lx, ly, "periodic")
         real, split = q._forward, []
 
@@ -989,18 +1196,20 @@ class TestGroundSearchExact:
             return total, least
 
         monkeypatch.setattr(q, "_forward", chunked)
-        p = canonical_params(0, 1)
         electron_counts = range(2 * lat.n_sites + 1)
-        oracle = brute_force_minima(lat, p, electron_counts)
-        for electrons in electron_counts:
-            e_min, mins = q.ground_search_exact(lat, p, electrons)
-            assert e_min == oracle[electrons][0], electrons
-            assert [m.codes for m in mins] == oracle[electrons][1], electrons
+        for p in (canonical_params(0, 1), q.QuiverParams(0.0, 0.0, 0.0, 0.0, 0, 1)):
+            oracle = brute_force_minima(lat, p, electron_counts)
+            for electrons in electron_counts:
+                e_min, mins = q.ground_search_exact(lat, p, electrons)
+                assert e_min == oracle[electrons][0], electrons
+                assert [m.codes for m in mins] == oracle[electrons][1], electrons
         assert False in split and True in split
 
     def test_one_pass_per_first_class_then_held_reruns(self, monkeypatch):
+        # each class's pass runs over its orbit representatives only (34 of
+        # the 256 first codes of width 4), each rerun over held ones of them
         lat = q.Lattice(4, 4, "periodic")
-        _, count, starts = q._code_classes(4)
+        count = q._code_classes(4)[1]
         real, calls = q._forward, []
 
         def spy(tables, closing, electrons, firsts=None, keep=False):
@@ -1014,22 +1223,25 @@ class TestGroundSearchExact:
         assert [keep for keep, _ in calls] == [False] * len(passes) + [True] * len(reruns)
         classes = q._first_classes(4, 4, 12)
         assert len(passes) == len(classes) == 9
+        images, _, reps = q._code_images(4, True)
         for a, firsts in zip(classes, passes):
-            assert np.array_equal(firsts, np.arange(starts[a], starts[a + 1]))
-        assert [f.size for f in passes] == [1, 8, 28, 56, 70, 56, 28, 8, 1]
+            assert np.array_equal(firsts, np.intersect1d(reps, np.flatnonzero(count == a)))
+            assert np.array_equal(firsts, images[:, firsts].min(axis=0))
+        assert [f.size for f in passes] == [1, 1, 5, 5, 10, 5, 5, 1, 1]
+        assert sum(f.size for f in passes) == 34
         rerun_classes = [int(count[f[0]]) for f in reruns]
-        assert len(set(rerun_classes)) == len(rerun_classes)
+        assert reruns and len(set(rerun_classes)) == len(rerun_classes)
         for firsts in reruns:
-            assert (count[firsts] == count[firsts[0]]).all()
+            assert np.isin(firsts, passes[classes.index(int(count[firsts[0]]))]).all()
             assert np.array_equal(firsts, np.unique(firsts))
-        assert [f.size for f in reruns] == [4, 8, 8]
+        assert [f.size for f in reruns] == [1, 1, 1]
 
     @pytest.mark.parametrize("lx,ly,boundary", [
         (3, 3, "periodic"), (3, 4, "periodic"), (4, 4, "periodic"), (4, 4, "open"),
     ])
     def test_memory_model_covers_kept_states(self, lx, ly, boundary):
         # the distinct transfer tables plus the states one kept pass holds
-        # over the largest class of first codes, at half filling
+        # over the largest class of representative first codes, at half filling
         lat = q.Lattice(lx, ly, boundary)
         width, electrons = min(lx, ly), lat.n_sites
         tables, closing = q._transfer_tables(lat, canonical_params(0, 1))
@@ -1038,9 +1250,8 @@ class TestGroundSearchExact:
         if closing is None:
             largest = None
         else:
-            starts = q._code_classes(width)[2]
             classes = q._first_classes(width, len(tables), electrons)
-            largest = max((np.arange(starts[a], starts[a + 1]) for a in classes), key=len)
+            largest = max((q._ring_firsts(width)[a] for a in classes), key=len)
         least = q._forward(tables, closing, electrons, largest, keep=True)[1]
         kept = sum(h.nbytes for _, h in least)
         assert sum(distinct.values()) + kept <= q._exact_search_bytes(lat)
