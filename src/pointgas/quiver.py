@@ -736,6 +736,7 @@ _COUNT_TABLE = _count_table()
 # counts as 12-bit fields of a uint64: numpy sums 2047 terms (<= 4094 each) at once
 _FIELD_SHIFTS = np.arange(0, 60, 12, dtype=np.uint64)
 _PACKED_TABLE = (_COUNT_TABLE.astype(np.uint64) << _FIELD_SHIFTS).sum(axis=1, dtype=np.uint64)
+_COUNT_ROWS = 1 << 14       # code rows counted per numpy pass
 
 
 @lru_cache(maxsize=8)
@@ -767,11 +768,13 @@ def _terms(lattice: Lattice):
 
 def _count_terms(padded: np.ndarray, sites: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The five counts, shape (5, m), of the terms (sites, rows) on padded code rows."""
-    idx = rows + 16 * padded[:, sites[:, 0]] + 4 * padded[:, sites[:, 1]] + padded[:, sites[:, 2]]
     counts = np.zeros((5, padded.shape[0]), dtype=np.int64)
-    for start in range(0, idx.shape[1], 2047):
-        packed = _PACKED_TABLE[idx[:, start:start + 2047]].sum(axis=1, dtype=np.uint64)
-        counts += ((packed >> _FIELD_SHIFTS[:, None]) & 4095).astype(np.int64)
+    for r in range(0, padded.shape[0], _COUNT_ROWS):
+        part, out = padded[r:r + _COUNT_ROWS], counts[:, r:r + _COUNT_ROWS]
+        idx = rows + 16 * part[:, sites[:, 0]] + 4 * part[:, sites[:, 1]] + part[:, sites[:, 2]]
+        for start in range(0, idx.shape[1], 2047):
+            packed = _PACKED_TABLE[idx[:, start:start + 2047]].sum(axis=1, dtype=np.uint64)
+            out += ((packed >> _FIELD_SHIFTS[:, None]) & 4095).astype(np.int64)
     return counts
 
 
@@ -1318,78 +1321,52 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
 
 _RAW_BLOCK = 4096           # PCG64 words the annealer reads per block
 _MOVE_CACHE = 1 << 14       # move outcomes the annealer keeps before clearing them all
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
-def _pcg64_draws(rng):
-    """Scalar draws of a PCG64 Generator, read from its raw stream in blocks.
+def _pcg64_blocks(rng, bounds):
+    """Per-block draw tables of a PCG64 Generator's raw stream.
 
-    Returns (random, integers, close).  random() and integers(n), for
-    1 <= n <= 2**32, return rng.random() and rng.integers(0, n) bit for bit,
-    reproducing numpy's algorithms on words of rng.bit_generator.random_raw:
-    a double is (w >> 11) * 2**-53 of one word; an integer is Lemire's
-    bounded draw on the 32-bit halves of a word, low half first, with the
-    high half kept for the next call; integers(1) draws nothing.  The reader
-    starts from the rng's buffered half, if it holds one.  close() rewinds
-    the rng to its start, advances it by the words consumed and sets the
-    buffered half, so the rng ends exactly where the scalar calls would have
-    left it.  Raises TypeError for any bit generator other than PCG64.
-    """
+    Returns (refill, close, buffered), buffered being whether the rng holds
+    a 32-bit half.  refill(k) reads _RAW_BLOCK words and returns the lists
+    (doubles, *halves) and the start (1, 0): entry 1 + i of a list is of
+    word i, entry 0 of entry k of the last block (at first, the rng's kept
+    half).  A double is rng.random()'s (w >> 11) * 2**-53.  For each bound
+    b, the low and the high half x of each word give rng.integers(0, b)'s
+    Lemire draw (x * b) >> 32, or -1 where numpy rejects x.  close(i, k,
+    buffered) leaves the rng past the words before entry i, keeping entry
+    k's high half.  The rng must be PCG64, else TypeError."""
     bitgen = getattr(rng, "bit_generator", None)
     if not isinstance(bitgen, np.random.PCG64):
         name = type(bitgen or rng).__name__
         raise TypeError(f"rng must be a numpy Generator on PCG64, got {name}")
     start = bitgen.state
-    # numpy keeps a consumed half in the state, flagged unbuffered
-    buffered, half = bool(start["has_uint32"]), start["uinteger"]
-    block = []
-    pos = used = 0              # next word in block; words of earlier blocks
+    # numpy keeps a consumed half, and rejects low products below (2**32 - b) % b
+    words = np.full(_RAW_BLOCK + 1, np.uint64(start["uinteger"]) << _SHIFT32)
+    limits = [(np.uint64(b), np.uint64((2 ** 32 - b) % b)) for b in bounds]
+    read = 0
 
-    def word():
-        nonlocal pos, used
-        if pos == len(block):
-            used += pos
-            block[:] = bitgen.random_raw(_RAW_BLOCK).tolist()
-            pos = 0
-        pos += 1
-        return block[pos - 1]
+    def refill(k):
+        nonlocal read
+        words[0] = words[k]
+        words[1:] = bitgen.random_raw(_RAW_BLOCK)
+        read += 1
+        halves = np.stack((words & _LOW32, words >> _SHIFT32))
+        tables = [((words >> np.uint64(11)) * 2.0 ** -53).tolist()]
+        for b, floor in limits:
+            m = halves * b
+            draws = (m >> _SHIFT32).astype(np.int64)
+            tables += np.where((m & _LOW32) >= floor, draws, -1).tolist()
+        return (*tables, 1, 0)
 
-    def random():
-        return (word() >> 11) * 2.0 ** -53
-
-    def integers(n):
-        nonlocal buffered, half
-        if n == 1:
-            return 0
-        while True:
-            if buffered:
-                m = half * n
-            else:
-                w = word()
-                m = (w & 0xFFFFFFFF) * n
-                half = w >> 32
-            buffered = not buffered
-            low = m & 0xFFFFFFFF
-            # reject the low products below (2**32 - n) % n, which is < n
-            if low >= n or low >= (0x100000000 - n) % n:
-                return m >> 32
-
-    def close():
+    def close(i, k, buffered):
         bitgen.state = start
-        bitgen.advance(used + pos)
+        bitgen.advance((read - 1) * _RAW_BLOCK + i - 1)
         state = bitgen.state
-        state["has_uint32"], state["uinteger"] = int(buffered), half
+        state["has_uint32"], state["uinteger"] = int(buffered), int(words[k] >> _SHIFT32)
         bitgen.state = state
 
-    return random, integers, close
-
-
-def _draw_slot(integers, codes: list, n_slots: int, bit: int) -> int:
-    """A random spin slot holding `bit`, or -1 after 64 misses."""
-    for _ in range(64):
-        slot = integers(n_slots)
-        if codes[slot >> 1] >> (slot & 1) & 1 == bit:
-            return slot
-    return -1
+    return refill, close, bool(start["has_uint32"])
 
 
 def _site_change(codes: list, touch: tuple, site: int, code: int) -> int:
@@ -1425,38 +1402,25 @@ class AnnealResult:
         return iter((self.best_energy, self.best_occupation))
 
 
-def ground_search_anneal(
-    lattice: Lattice,
-    p: QuiverParams,
-    electrons: int,
-    schedule=None,
-    rng=None,
-) -> AnnealResult:
+def ground_search_anneal(lattice: Lattice, p: QuiverParams, electrons: int,
+                         schedule=None, rng=None) -> AnnealResult:
     """Simulated annealing over occupation patterns at fixed electron count.
 
     schedule = (T_init, cooling, sweeps): the temperature starts at T_init
-    and is multiplied by cooling after each sweep of 2 * n_sites proposed
-    moves.  Moves are single-electron relocation to any empty spin slot and
-    an on-site spin flip at a singly occupied site; both preserve the
-    electron count.  T_init = 0 gives greedy descent (only downhill or flat
-    moves accepted), so the per-sweep energy trace is monotone.  Moves
-    change the five integer energy counts by exact differences, so every
-    running and best energy is bitwise `energy` of its state and can never
-    undercut the exact search's minimum.  Deterministic for a given seed.
+    (0 <= T_init < inf; 0 is greedy descent) and is multiplied by cooling
+    after each sweep of 2 * n_sites proposed moves: an electron's relocation
+    to an empty spin slot or an on-site spin flip.  Moves change the five
+    integer energy counts by exact differences, so every energy is bitwise
+    `energy` of its state.  Move outcomes are cached under the state they
+    were proposed from (at most _MOVE_CACHE, cleared whole when full).
 
-    Each move's outcome (the codes it writes, its packed counts and energy)
-    is cached under the state it was proposed from, keyed by the codes at 2
-    bits a site, so a walk that revisits states on a plateau looks it up
-    instead of recomputing it.  The cache holds at most _MOVE_CACHE entries
-    and is cleared whole when full.  It reads no draw, and every draw,
-    result and rng end state is the same as without it.
-
-    rng must be a numpy Generator on PCG64 (np.random.default_rng), or a
-    TypeError is raised.  Its draws are read in blocks from the raw PCG64
-    stream (see `_pcg64_draws`); the result, and the state the rng is left
-    in, match the scalar rng.random() and rng.integers() calls of the same
-    algorithm bit for bit.  Couplings that could overflow an energy raise
-    ValueError, as in the exact search, before rng is read."""
+    rng must be a PCG64 Generator (np.random.default_rng), else TypeError.
+    Draws are read by index from per-block tables (`_pcg64_blocks`), slot
+    draws against a 0/1 occupancy list per spin slot and site draws against
+    a singly-occupied flag per site; the draws, result and rng end state
+    match scalar rng.random() and rng.integers() calls bit for bit.  A bad
+    schedule, or couplings that could overflow, raise ValueError before rng
+    is read."""
     n = lattice.n_sites
     if not 0 <= electrons <= 2 * n:
         raise ValueError(f"electron count must lie in 0..{2 * n}")
@@ -1467,8 +1431,9 @@ def ground_search_anneal(
         schedule = (2.0 * p.t if p.t > 0 else 1.0, 0.95, 2000)
     t_init, cooling, sweeps = schedule
     sweeps = int(sweeps)
-    if t_init < 0 or not (0.0 < cooling < 1.0) or sweeps < 1:
-        raise ValueError("schedule must be (T_init >= 0, cooling in (0, 1), sweeps >= 1)")
+    if not 0.0 <= t_init < math.inf or not 0.0 < cooling < 1.0 or sweeps < 1:
+        raise ValueError("schedule must be (T_init >= 0 and finite, cooling in (0, 1), "
+                         "sweeps >= 1)")
 
     # spin slot 2 * s + sigma is bit sigma of codes[s]; codes[n] is the phantom hole
     codes = [0] * (n + 1)
@@ -1485,26 +1450,47 @@ def ground_search_anneal(
     best_codes = tuple(codes[:n])
     n_slots = 2 * n
     movable = 0 < electrons < n_slots
-    trace = []
-    accepted = 0
-    temp = float(t_init)
-    exp = math.exp
+    trace, accepted, temp, exp = [], 0, float(t_init), math.exp
     # state key (codes at 2 bits a site) -> {move key: (i, new_i, j, new_j,
     # packed counts, energy)}: the outcome of a move proposed from that state
     key = sum(c << 2 * s for s, c in enumerate(codes[:n]))
-    cache = {}
+    cache, cached = {}, 0
     moves = cache[key] = {}
-    cached = 0
-
-    random, integers, close = _pcg64_draws(rng)
+    # doubles, slot and site draws of low and high halves; pos is the next
+    # fresh entry, hp the entry whose high half numpy holds when buffered
+    refill, close, buffered = _pcg64_blocks(rng, (n_slots, n))
+    dbl, slo, shi, nlo, nhi, pos, hp = refill(0)
+    end, dst = _RAW_BLOCK + 1, -1
+    full = [codes[s >> 1] >> (s & 1) & 1 for s in range(n_slots)]   # occupied slots
+    single = [0 < c < 3 for c in codes[:n]]                         # singly occupied sites
+    site_tries = range(64 if n > 1 else 0)      # integers(0, 1) reads no word
     try:
         for _ in range(sweeps):
             for _ in range(n_slots):
-                if random() < 0.5:
+                if pos == end:
+                    dbl, slo, shi, nlo, nhi, pos, hp = refill(hp)
+                pos += 1
+                if dbl[pos - 1] < 0.5:
                     if not movable:
                         continue
-                    src = _draw_slot(integers, codes, n_slots, 1)
-                    dst = _draw_slot(integers, codes, n_slots, 0)
+                    for bit in (1, 0):          # src holds an electron, dst none
+                        for _ in range(64):
+                            while True:         # a rejected half (-1) is no try
+                                if buffered:
+                                    slot = shi[hp]
+                                else:
+                                    if pos == end:
+                                        dbl, slo, shi, nlo, nhi, pos, hp = refill(hp)
+                                    hp, pos = pos, pos + 1
+                                    slot = slo[hp]
+                                buffered = not buffered
+                                if slot >= 0:
+                                    break
+                            if full[slot] == bit:
+                                break
+                        else:
+                            slot = -1
+                        src, dst = dst, slot
                     if src < 0 or dst < 0:
                         continue
                     move = src * n_slots + dst
@@ -1516,15 +1502,26 @@ def ground_search_anneal(
                         delta = _site_change(codes, touch, i, new_i)
                         new_j = codes[j] ^ (1 << (dst & 1))
                         delta += _site_change(codes, touch, j, new_j)
-                        codes[j] = old_j
-                        codes[i] = old_i
+                        codes[j], codes[i] = old_j, old_i
                 else:
-                    for _ in range(64):
-                        i = integers(n)
-                        if codes[i] in (1, 2):
+                    for _ in site_tries:
+                        while True:
+                            if buffered:
+                                i = nhi[hp]
+                            else:
+                                if pos == end:
+                                    dbl, slo, shi, nlo, nhi, pos, hp = refill(hp)
+                                hp, pos = pos, pos + 1
+                                i = nlo[hp]
+                            buffered = not buffered
+                            if i >= 0:
+                                break
+                        if single[i]:
                             break
                     else:
-                        continue
+                        if n > 1 or not single[0]:
+                            continue
+                        i = 0
                     move = -1 - i
                     out = moves.get(move)
                     if out is None:
@@ -1544,31 +1541,34 @@ def ground_search_anneal(
                         cached = 0
                     out = moves[move] = (i, new_i, j, new_j, new, e_new)
                     cached += 1
-                i, new_i, j, new_j, new, e_new = out
-                d_e = e_new - e_now
-                if d_e <= 0.0 or (temp > 0.0 and random() < exp(-d_e / temp)):
-                    key ^= (codes[i] ^ new_i) << 2 * i
-                    codes[i] = new_i
-                    key ^= (codes[j] ^ new_j) << 2 * j
-                    codes[j] = new_j
-                    moves = cache.setdefault(key, {})
-                    packed = new
-                    e_now = e_new
-                    accepted += 1
-                    if e_now < best_e:
-                        best_e = e_now
-                        best_codes = tuple(codes[:n])
+                d_e = out[5] - e_now
+                if d_e > 0.0:
+                    if temp <= 0.0:
+                        continue
+                    if pos == end:
+                        dbl, slo, shi, nlo, nhi, pos, hp = refill(hp)
+                    pos += 1
+                    if dbl[pos - 1] >= exp(-d_e / temp):
+                        continue
+                i, new_i, j, new_j, packed, e_now = out
+                key ^= (codes[i] ^ new_i) << 2 * i
+                codes[i] = new_i
+                key ^= (codes[j] ^ new_j) << 2 * j
+                codes[j] = new_j
+                full[2 * i:2 * i + 2] = new_i & 1, new_i >> 1
+                full[2 * j:2 * j + 2] = new_j & 1, new_j >> 1
+                single[i], single[j] = 0 < new_i < 3, 0 < new_j < 3
+                moves = cache.setdefault(key, {})
+                accepted += 1
+                if e_now < best_e:
+                    best_e = e_now
+                    best_codes = tuple(codes[:n])
             trace.append(e_now)
             temp *= cooling
     finally:
-        close()
+        close(pos, hp, buffered)
 
-    return AnnealResult(
-        best_energy=best_e,
-        best_occupation=Occupation(best_codes),
-        trace=tuple(trace),
-        n_accepted=accepted,
-    )
+    return AnnealResult(best_e, Occupation(best_codes), tuple(trace), accepted)
 
 
 # ---------------------------------------------------------------------------

@@ -808,6 +808,31 @@ class TestEnergy:
         with pytest.raises(ValueError, match="0 or 1"):
             q.energy_batch(np.zeros((1, 4)), -np.ones((1, 4)), lat, p)
 
+    def test_batch_memory_is_bounded_by_row_chunks(self):
+        # every 3x3 periodic pattern (63 terms): gathering all rows' packed
+        # term counts at once peaked at 158-166 MB traced
+        lat, p = q.Lattice(3, 3, "periodic"), canonical_params(0, 1)
+        codes = all_patterns(9)
+        up, dn = codes & 1, codes >> 1
+        tracemalloc.start()
+        try:
+            energies = q.energy_batch(up, dn, lat, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 << 20
+        occ = q.Occupation(tuple(codes[123_456].tolist()))
+        assert energies[123_456] == q.energy(occ, lat, p)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_row_chunks_match_one_pass(self, monkeypatch, chunk):
+        lat = q.Lattice(3, 3, "periodic")
+        codes = np.random.default_rng(43).integers(0, 4, size=(1001, 9)).astype(np.uint8)
+        monkeypatch.setattr(q, "_COUNT_ROWS", codes.shape[0])
+        whole = q._term_counts(codes, lat)
+        monkeypatch.setattr(q, "_COUNT_ROWS", chunk)
+        assert np.array_equal(q._term_counts(codes, lat), whole)
+
 
 @pytest.fixture(scope="module")
 def hole_pair_scenarios():
@@ -1387,6 +1412,16 @@ class TestGroundSearchAnneal:
         with pytest.raises(ValueError):
             q.ground_search_anneal(lat, p, 4, schedule=(-1.0, 0.9, 10))
 
+    @pytest.mark.parametrize("t_init", [math.nan, math.inf, -math.inf, -0.5])
+    def test_start_temperature_must_be_finite_and_nonnegative(self, t_init):
+        # nan < 0 is False, so nan ran as greedy descent; inf never cooled
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="T_init >= 0 and finite"):
+            q.ground_search_anneal(q.Lattice(2, 2), canonical_params(0, 1), 4,
+                                   schedule=(t_init, 0.9, 10), rng=rng)
+        assert rng.bit_generator.state == state
+
 
 def scalar_anneal(lattice, p, electrons, schedule, rng):
     """Reference for ground_search_anneal: the same moves, drawn by scalar
@@ -1440,6 +1475,51 @@ def scalar_anneal(lattice, p, electrons, schedule, rng):
     return best_e, q.Occupation(best), tuple(trace), accepted
 
 
+class ZeroedHalves(np.random.PCG64):
+    """PCG64 whose raw words have the low half zeroed where w % 3 == 0 and
+    the high half where w % 5 == 0.  Lemire's draw rejects x = 0 for every
+    bound that is not a power of 2, so about one half in four is redrawn."""
+
+    def random_raw(self, size=None, output=True):
+        w = super().random_raw(size, output)
+        low = np.where(w % np.uint64(3) == 0, np.uint64(0), w & np.uint64(0xFFFFFFFF))
+        high = np.where(w % np.uint64(5) == 0, np.uint64(0), w >> np.uint64(32))
+        return (high << np.uint64(32)) | low
+
+
+class RawWordDraws:
+    """rng.random() and rng.integers(0, b) by numpy's algorithms, one raw
+    word at a time from gen's bit generator; permutation is gen's own."""
+
+    def __init__(self, gen):
+        self.gen, self.bitgen = gen, gen.bit_generator
+
+    def permutation(self, n):
+        out = self.gen.permutation(n)
+        state = self.bitgen.state
+        self.buffered, self.half = bool(state["has_uint32"]), state["uinteger"]
+        return out
+
+    def word(self):
+        return int(self.bitgen.random_raw(1)[0])
+
+    def random(self):
+        return (self.word() >> 11) * 2.0 ** -53
+
+    def integers(self, low, b):
+        if b == 1:
+            return 0
+        while True:
+            if self.buffered:
+                x = self.half
+            else:
+                w = self.word()
+                x, self.half = w & 0xFFFFFFFF, w >> 32
+            self.buffered = not self.buffered
+            if (x * b) & 0xFFFFFFFF >= (2 ** 32 - b) % b:
+                return (x * b) >> 32
+
+
 class TestAnnealDraws:
     SIZES = (1, 2, 9, 24, 32, 72, 3 * 2 ** 30)   # the last one rejects 1 draw in 4
 
@@ -1449,20 +1529,38 @@ class TestAnnealDraws:
         if buffered:
             live.integers(0, 7)
             read.integers(0, 7)
-        random, integers, close = q._pcg64_draws(read)
+        refill, close, held = q._pcg64_blocks(read, self.SIZES)
+        assert held == buffered
+        doubles, *halves, pos, hp = refill(0)
+        end, rejected = q._RAW_BLOCK + 1, 0
         plan = np.random.default_rng(17)
         want, got = [], []
-        # about 6000 random() calls alone: the reads cross a 4096-word block
+        # about 6000 doubles alone: the reads cross a 4096-word block
         for _ in range(12000):
             if plan.random() < 0.5:
                 want.append(live.random())
-                got.append(random())
-            else:
-                size = self.SIZES[plan.integers(0, len(self.SIZES))]
-                want.append(int(live.integers(0, size)))
-                got.append(integers(size))
-        close()
+                if pos == end:
+                    doubles, *halves, pos, hp = refill(hp)
+                got.append(doubles[pos])
+                pos += 1
+                continue
+            b = plan.integers(0, len(self.SIZES))
+            want.append(int(live.integers(0, self.SIZES[b])))
+            x = 0 if self.SIZES[b] == 1 else -1     # a bound of 1 reads nothing
+            while x < 0:
+                if held:
+                    x = halves[2 * b + 1][hp]
+                else:
+                    if pos == end:
+                        doubles, *halves, pos, hp = refill(hp)
+                    hp, pos = pos, pos + 1
+                    x = halves[2 * b][hp]
+                held = not held
+                rejected += x < 0
+            got.append(x)
+        close(pos, hp, held)
         assert got == want
+        assert rejected > 100
         assert read.bit_generator.state == live.bit_generator.state
         assert read.integers(0, 2 ** 32) == live.integers(0, 2 ** 32)
 
@@ -1499,6 +1597,39 @@ class TestAnnealDraws:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         proposals = schedule[2] * 2 * lat.n_sites
         assert (len(calls) < proposals / 2) == (bound is None)
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("shape, electrons", [((3, 3, "open"), 7), ((2, 2, "periodic"), 5)])
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_block_edges_match_scalar_draws(self, monkeypatch, block, shape, electrons, buffered):
+        # blocks of 1-3 words put refills inside slot searches, buffered
+        # halves across refills and Metropolis doubles at block edges
+        monkeypatch.setattr(q, "_RAW_BLOCK", block)
+        lat, p, schedule = q.Lattice(*shape), canonical_params(0, 1), (2.0, 0.9, 30)
+        rng, ref_rng = np.random.default_rng(block), np.random.default_rng(block)
+        if buffered:
+            rng.integers(0, 7)
+            ref_rng.integers(0, 7)
+        res = q.ground_search_anneal(lat, p, electrons, schedule=schedule, rng=rng)
+        ref = scalar_anneal(lat, p, electrons, schedule, ref_rng)
+        assert (res.best_energy, res.best_occupation, res.trace, res.n_accepted) == ref
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("block", [3, 4096])
+    @pytest.mark.parametrize("shape, electrons", [((3, 3, "open"), 7), ((3, 3, "periodic"), 12)])
+    def test_rejected_halves_are_redrawn(self, monkeypatch, block, shape, electrons):
+        # the bounds 18 and 9 reject the zeroed halves: slot and site
+        # searches redraw them, fresh and buffered, without counting a try
+        monkeypatch.setattr(q, "_RAW_BLOCK", block)
+        lat, p, schedule = q.Lattice(*shape), canonical_params(0, 1), (2.0, 0.9, 30)
+        rng = np.random.Generator(ZeroedHalves(8))
+        ref = RawWordDraws(np.random.Generator(ZeroedHalves(8)))
+        res = q.ground_search_anneal(lat, p, electrons, schedule=schedule, rng=rng)
+        assert (res.best_energy, res.best_occupation, res.trace, res.n_accepted) == \
+            scalar_anneal(lat, p, electrons, schedule, ref)
+        state = rng.bit_generator.state
+        assert state["state"] == ref.bitgen.state["state"]
+        assert (state["has_uint32"], state["uinteger"]) == (ref.buffered, ref.half)
 
     def test_other_bit_generators_rejected(self):
         with pytest.raises(TypeError, match="PCG64"):
