@@ -208,27 +208,31 @@ def _fmt_cell(val):
     return str(val)
 
 
-def _fmt_column(values):
+def _fmt_column(values, end):
+    """Object array of a column's cells, each followed by end."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         # repr each distinct value once: float64 holds any narrower float
         # exactly, and unique bit patterns, not values, keep -0.0 apart from 0.0
         bits = np.asarray(values, dtype=np.float64).view(np.int64)
         uniq, inverse = np.unique(bits, return_inverse=True)
-        strings = np.array([repr(v) for v in uniq.view(np.float64).tolist()], dtype=object)
-        return strings[inverse].tolist()
+        strings = np.array([repr(v) + end for v in uniq.view(np.float64).tolist()],
+                           dtype=object)
+        return strings[inverse]
     # plain floats and ints skip _fmt_cell; other arrays convert to them in one call
     if isinstance(values, np.ndarray):
         values = values.tolist()
-    return [repr(v) if type(v) is float else str(v) if type(v) is int else _fmt_cell(v)
-            for v in values]
+    return np.array([(repr(v) if type(v) is float else str(v) if type(v) is int
+                      else _fmt_cell(v)) + end for v in values], dtype=object)
 
 
 def _write_csv(columns):
     """CSV text of {name: equal-length list or 1-d array}, in dict order."""
-    cells = [_fmt_column(col) for col in columns.values()]
-    # the empty last line ends the text with a newline in the one join
-    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True)), ""]
-    return "\n".join(lines)
+    ends = [","] * (len(columns) - 1) + ["\n"]
+    # a (rows, cols) table of cells that carry their separators, joined once;
+    # np.stack raises ValueError on ragged columns
+    cells = np.stack([_fmt_column(col, end) for col, end in zip(columns.values(), ends)],
+                     axis=1)
+    return ",".join(columns) + "\n" + "".join(cells.ravel().tolist())
 
 
 def _columns(header, rows):
@@ -358,8 +362,8 @@ _SAMPLE_N_MAX = 4_000_000
 # sigma at 20000 steps of 64 nodes peaks at about 180 MB, mostly the solve.
 _BEC_ROWS_MAX = 20_000
 # ground-potential rows, points ** n_particles: at the cap (n_particles=3,
-# points=62) a run takes about 0.25 s and peaks at about 155 MB above a bare
-# interpreter, 85 MB above the library import; its CSV formats each distinct
+# points=62) a run takes about 0.15 s and peaks at about 80 MB above a bare
+# interpreter, 52 MB above the library import; its CSV formats each distinct
 # float of a column once.
 _POTENTIAL_ROWS_MAX = 250_000
 

@@ -693,7 +693,11 @@ def _ground_state_map(f, grid, exclusion_cells):
                            "and outside the pair-exclusion margin")
     with np.errstate(invalid="ignore", over="ignore"):
         residual = (-lap + v[core] * omega_arr[core])[keep]
-        out = float(np.linalg.norm(residual) / np.linalg.norm(omega_arr[core][keep]))
+        omega_kept = omega_arr[core][keep]
+        # numpy's pairwise sums, not BLAS dots: no BLAS thread wakes up and the
+        # value does not depend on the thread count; numpy scalars keep 0/0 a NaN
+        out = float(np.sqrt((residual * residual).sum())
+                    / np.sqrt((omega_kept * omega_kept).sum()))
     if not math.isfinite(out):
         raise RuntimeError("residual_check: the residual is not finite (the field "
                            "or the potential overflows on this grid)")

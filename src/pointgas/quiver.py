@@ -1324,6 +1324,15 @@ _MOVE_CACHE = 1 << 14       # move outcomes the annealer keeps before clearing t
 _LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
+def _pcg64(rng):
+    """The PCG64 bit generator of a numpy Generator, else TypeError."""
+    bitgen = getattr(rng, "bit_generator", None)
+    if not isinstance(bitgen, np.random.PCG64):
+        name = type(bitgen or rng).__name__
+        raise TypeError(f"rng must be a numpy Generator on PCG64, got {name}")
+    return bitgen
+
+
 def _pcg64_blocks(rng, bounds):
     """Per-block draw tables of a PCG64 Generator's raw stream.
 
@@ -1336,10 +1345,7 @@ def _pcg64_blocks(rng, bounds):
     Lemire draw (x * b) >> 32, or -1 where numpy rejects x.  close(i, k,
     buffered) leaves the rng past the words before entry i, keeping entry
     k's high half.  The rng must be PCG64, else TypeError."""
-    bitgen = getattr(rng, "bit_generator", None)
-    if not isinstance(bitgen, np.random.PCG64):
-        name = type(bitgen or rng).__name__
-        raise TypeError(f"rng must be a numpy Generator on PCG64, got {name}")
+    bitgen = _pcg64(rng)
     start = bitgen.state
     # numpy keeps a consumed half, and rejects low products below (2**32 - b) % b
     words = np.full(_RAW_BLOCK + 1, np.uint64(start["uinteger"]) << _SHIFT32)
@@ -1419,8 +1425,8 @@ def ground_search_anneal(lattice: Lattice, p: QuiverParams, electrons: int,
     draws against a 0/1 occupancy list per spin slot and site draws against
     a singly-occupied flag per site; the draws, result and rng end state
     match scalar rng.random() and rng.integers() calls bit for bit.  A bad
-    schedule, or couplings that could overflow, raise ValueError before rng
-    is read."""
+    schedule, or couplings that could overflow, raise ValueError, and an rng
+    on another bit generator TypeError, before rng is read."""
     n = lattice.n_sites
     if not 0 <= electrons <= 2 * n:
         raise ValueError(f"electron count must lie in 0..{2 * n}")
@@ -1435,6 +1441,7 @@ def ground_search_anneal(lattice: Lattice, p: QuiverParams, electrons: int,
         raise ValueError("schedule must be (T_init >= 0 and finite, cooling in (0, 1), "
                          "sweeps >= 1)")
 
+    _pcg64(rng)     # refuse another bit generator before its first draw
     # spin slot 2 * s + sigma is bit sigma of codes[s]; codes[n] is the phantom hole
     codes = [0] * (n + 1)
     for slot in rng.permutation(2 * n)[:electrons].tolist():

@@ -202,6 +202,35 @@ class TestWriteCsv:
         assert text == rowwise_csv(list(table), rows)
         assert text.splitlines()[1].startswith("inf,-2.5e+17,-1.0,-4,")
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_tables_match_rowwise_cells(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 40))
+        specials = np.array([-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf])
+
+        def floats(dtype, stride):
+            vals = rng.standard_normal(n * stride) * 10.0 ** rng.integers(-30, 30, n * stride)
+            vals = np.where(rng.random(n * stride) < 0.3, rng.choice(specials, n * stride), vals)
+            # repeats exercise the one-repr-per-bit-pattern table
+            vals = np.where(rng.random(n * stride) < 0.3, np.roll(vals, 1), vals)
+            with np.errstate(over="ignore"):    # narrow dtypes overflow to inf
+                return vals.astype(dtype)[::stride]
+
+        makers = [
+            lambda: floats(np.float64, 1),
+            lambda: floats(np.float64, 3),
+            lambda: floats(np.float32, 2),
+            lambda: floats(np.float16, 1),
+            lambda: floats(np.float16, 2),
+            lambda: floats(np.float64, 1).tolist(),
+            lambda: rng.integers(-2 ** 62, 2 ** 62, n).tolist(),
+            lambda: rng.integers(-5, 5, 2 * n)[::2],
+        ]
+        picks = rng.integers(0, len(makers), int(rng.integers(1, 7)))
+        table = {f"c{j}": makers[k]() for j, k in enumerate(picks)}
+        rows = [{col: vals[i] for col, vals in table.items()} for i in range(n)]
+        assert cli._write_csv(table) == rowwise_csv(list(table), rows)
+
     def test_zero_rows_give_the_header_line(self):
         assert cli._write_csv({"a": [], "b": np.array([])}) == "a,b\n"
 

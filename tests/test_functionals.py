@@ -814,6 +814,38 @@ class TestGirardFunctional:
             fn.GirardParams(1.0, 0, 10.0, 1.0)
 
 
+def residual_fields():
+    """{kind: (field, grid)} on the grids the residual tests use."""
+    grid = np.linspace(-0.3, 0.3, 101)
+    x1, x2 = np.meshgrid(grid, grid, indexing="ij")
+    return {"harmonic": (fn.GroundStateField(2, "harmonic", omega=1.0), grid),
+            "calogero": (fn.GroundStateField(2, "calogero", omega=0.5, lam=-1.0),
+                         np.linspace(-1.0, 1.0, 501)),
+            "custom": (fn.GroundStateField(2, "custom", w_values=(x1 - x2) ** 2), grid)}
+
+
+def norm_residual(gs, grid, exclusion_cells=3):
+    """residual_check of a 2-particle field on one shared axis, with its two
+    norms taken by np.linalg.norm and its stencil in the same order."""
+    h = float(grid[1] - grid[0])
+    mesh = np.meshgrid(grid, grid, indexing="ij")
+    v = fn.ground_state_potential(gs, grid)
+    w, e = (gs.w_values, 2) if gs.w_kind == "custom" else (fn._w_analytic(gs, mesh), 1)
+    n = grid.size
+    core = (slice(e, n - e),) * 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        om = np.exp(-w)
+        lap = 0.0
+        for up, dn in (((slice(e + 1, n - e + 1), core[1]), (slice(e - 1, n - e - 1), core[1])),
+                       ((core[0], slice(e + 1, n - e + 1)), (core[0], slice(e - 1, n - e - 1)))):
+            lap = lap + (om[up] - 2.0 * om[core] + om[dn]) / (h * h)
+        keep = np.ones(lap.shape, dtype=bool)
+        if gs.w_kind == "calogero":
+            keep = np.abs(mesh[0][core] - mesh[1][core]) > exclusion_cells * h
+        residual = (-lap + v[core] * om[core])[keep]
+    return float(np.linalg.norm(residual) / np.linalg.norm(om[core][keep]))
+
+
 class TestGroundStatePotential:
     def test_harmonic_two_particle_formula(self):
         # V(x1, x2) = 8 w^2 (x1 - x2)^2 - 4 w
@@ -857,6 +889,23 @@ class TestGroundStatePotential:
         r = fn.residual_check(gs, grid)
         assert r < 1e-4
         assert r == pytest.approx(ref, rel=0.01)
+
+    @pytest.mark.parametrize("kind", ["harmonic", "calogero", "custom"])
+    def test_residual_norms_call_no_blas(self, kind, monkeypatch):
+        gs, grid = residual_fields()[kind]
+
+        def no_blas(*args, **kwargs):
+            raise AssertionError("residual_check called a BLAS routine")
+
+        monkeypatch.setattr(np.linalg, "norm", no_blas)
+        monkeypatch.setattr(np, "dot", no_blas)
+        assert 0.0 < fn.residual_check(gs, grid) < 1e-4
+
+    @pytest.mark.parametrize("kind", ["harmonic", "calogero", "custom"])
+    def test_residual_matches_linalg_norm(self, kind):
+        gs, grid = residual_fields()[kind]
+        assert fn.residual_check(gs, grid) == pytest.approx(norm_residual(gs, grid),
+                                                            rel=1e-14, abs=0.0)
 
     def test_negative_exclusion_rejected(self):
         gs = fn.GroundStateField(2, "calogero", omega=0.5, lam=-1.0)

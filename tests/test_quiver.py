@@ -1632,9 +1632,14 @@ class TestAnnealDraws:
         assert (state["has_uint32"], state["uinteger"]) == (ref.buffered, ref.half)
 
     def test_other_bit_generators_rejected(self):
+        # refused before the first draw: the MT19937 state does not move
+        rng = np.random.Generator(np.random.MT19937(0))
+        before = rng.bit_generator.state
         with pytest.raises(TypeError, match="PCG64"):
-            q.ground_search_anneal(q.Lattice(2, 2), canonical_params(0, 1), 3,
-                                   rng=np.random.Generator(np.random.MT19937(0)))
+            q.ground_search_anneal(q.Lattice(2, 2), canonical_params(0, 1), 3, rng=rng)
+        after = rng.bit_generator.state
+        assert after["state"]["pos"] == before["state"]["pos"]
+        np.testing.assert_array_equal(after["state"]["key"], before["state"]["key"])
 
     @pytest.mark.parametrize("shape, electrons, seed, e_best, best, n_accepted, next_draw", [
         ((4, 4, "open"), 12, 0, -54.8, "ddduu.ud.d.du.ud", 6210, 2371069257),
