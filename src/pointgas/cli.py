@@ -239,23 +239,10 @@ def _columns(header, rows):
     return {col: [row[col] for row in rows] for col in header}
 
 
-def _jsonable(val):
-    if isinstance(val, dict):
-        return {str(k): _jsonable(v) for k, v in val.items()}
-    if isinstance(val, (list, tuple)):
-        return [_jsonable(v) for v in val]
-    if isinstance(val, (bool, np.bool_)):
-        return bool(val)
-    if isinstance(val, (int, np.integer)):
-        return int(val)
-    if isinstance(val, (float, np.floating)):
-        return float(val)
-    return val
-
-
 def _write_json(obj):
     try:  # strict JSON: a NaN or infinity in an output is a numerical failure
-        return json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                          default=np.generic.item) + "\n"
     except ValueError as exc:
         raise RuntimeError(f"non-finite value in a JSON output ({exc})") from None
 
@@ -355,8 +342,8 @@ _GIRARD_MODES_MAX = 1500
 _ML_WEIGHTS_N_MAX = 4096
 # sample-measure n_samples: the MC values stream through in chunks of 1000
 # (the count histogram is read off the sampled chunks), so the cap bounds
-# the run time; 4,000,000 fractional samples run in about 2.3 s and peak at
-# about 78 MB above a bare interpreter, 8 MB above the library import.
+# the run time, not memory: 4,000,000 fractional samples take about 1.1 s
+# and peak at about 31 MB above a bare interpreter, 5 MB above the import.
 _SAMPLE_N_MAX = 4_000_000
 # bec-curve solve cells over 64, steps x sigmas x max(n_nodes, 64) / 64: one
 # sigma at 20000 steps of 64 nodes peaks at about 180 MB, mostly the solve.
@@ -366,6 +353,10 @@ _BEC_ROWS_MAX = 20_000
 # interpreter, 52 MB above the library import; its CSV formats each distinct
 # float of a column once.
 _POTENTIAL_ROWS_MAX = 250_000
+# annealed quiver-ground sites, lx * ly: at the cap, one sweep at half filling
+# (open or periodic) takes about 4.5 s and peaks at about 200 MB above a bare
+# interpreter, 173 MB above the import, mostly the annealer's term lists.
+_ANNEAL_SITES_MAX = 33_000
 
 
 # subcommand handlers: validate and compute, then return {filename: text}
@@ -444,8 +435,8 @@ def _cmd_functional_check(cfg):
 def _cmd_sample_measure(cfg):
     p = cfg.parameters
     if p["n_samples"] > _SAMPLE_N_MAX:
-        raise ValueError(f"n_samples must not exceed {_SAMPLE_N_MAX}: the sample "
-                         f"arrays would need more than about 160 MB")
+        raise ValueError(f"n_samples must not exceed {_SAMPLE_N_MAX}: it bounds "
+                         f"the sampling time")
     if not 0.0 < p["width"] <= p["side"]:
         raise ValueError("width must lie in (0, side]")
     box = functionals.Box((p["side"],))
@@ -590,6 +581,10 @@ def _cmd_quiver_ground(cfg):
                              alpha_q=p["alpha_q"], beta_q=p["beta_q"],
                              bond_convention=p["bond_convention"])
     method = p["method"]
+    # no lattice above the cap fits the exact search, so auto would anneal it
+    if method != "exact" and lat.n_sites > _ANNEAL_SITES_MAX:
+        raise ValueError(f"an annealed lattice must not exceed {_ANNEAL_SITES_MAX} "
+                         f"sites: its term lists would need more than about 200 MB")
     if method == "auto":
         method = "exact" if quiver.exact_search_fits(lat) else "anneal"
     schedule = None

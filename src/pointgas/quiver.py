@@ -182,6 +182,14 @@ class Lattice:
                         out.append((a, m, n))
         return tuple(out)
 
+    @cached_property
+    def diagonal_neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Distinct sites one diagonal step from every site: the ends of `nnn_triples`."""
+        nb = [set() for _ in range(self.n_sites)]
+        for _, m, n in self.nnn_triples:
+            nb[m].add(n)
+        return tuple(tuple(sorted(s)) for s in nb)
+
 
 # ---------------------------------------------------------------------------
 # model parameters and occupation patterns
@@ -1603,19 +1611,14 @@ class HoleDiagnostics:
 def pairing_diagnostics(occs, lattice: Lattice) -> tuple:
     """Per-occupation hole pairing report (see HoleDiagnostics)."""
     out = []
-    unique_bonds = {tuple(sorted(b)) for b in lattice.bonds}
     for occ in occs:
         if occ.n_sites != lattice.n_sites:
             raise ValueError("occupation length does not match the lattice")
-        holes = set(occ.holes())
-        adjacent = sum(1 for a, b in unique_bonds if a in holes and b in holes)
-        hole_list = sorted(holes)
-        diagonal = 0
-        for i, a in enumerate(hole_list):
-            for b in hole_list[i + 1:]:
-                dx, dy = lattice.displacement(a, b)
-                if dx * dx + dy * dy == 2:
-                    diagonal += 1
+        hole_list = occ.holes()
+        holes = set(hole_list)
+        # each unordered hole pair is met once from either end
+        adjacent = sum(b in holes for a in hole_list for b in lattice.neighbors[a]) // 2
+        diagonal = sum(b in holes for a in hole_list for b in lattice.diagonal_neighbors[a]) // 2
         histogram: dict[int, int] = {}
         seen: set[int] = set()
         for start in hole_list:

@@ -269,6 +269,25 @@ class TestWriteCsv:
         assert 0 < calls <= 41 * 3 + 2232
 
 
+class TestWriteJson:
+    def test_numpy_scalars_in_nested_containers(self):
+        obj = {"b": [np.float32(0.1), np.int64(-3), (np.uint8(255), np.bool_(True))],
+               "a": {"y": (np.float32(2.5), [np.int64(2 ** 40)]), "x": np.bool_(False)}}
+        assert cli._write_json(obj) == (
+            '{\n  "a": {\n    "x": false,\n    "y": [\n      2.5,\n      [\n'
+            '        1099511627776\n      ]\n    ]\n  },\n  "b": [\n'
+            '    0.10000000149011612,\n    -3,\n    [\n      255,\n      true\n'
+            '    ]\n  ]\n}\n')
+
+    def test_numpy_nan_is_a_numerical_failure(self):
+        with pytest.raises(RuntimeError, match="non-finite value in a JSON output"):
+            cli._write_json({"v": [np.float32("nan")]})
+
+    def test_array_is_rejected(self):
+        with pytest.raises(TypeError):
+            cli._write_json({"v": np.zeros(2)})
+
+
 class TestExitCodes:
     def test_unknown_key_exits_2_without_outputs(self, tmp_path):
         code, out = run_cli(tmp_path, "ml-weights", "foo=1")
@@ -878,6 +897,30 @@ class TestQuiverGround:
 
     def test_electron_validation(self, tmp_path):
         code, _ = run_cli(tmp_path, "quiver-ground", "electrons=99")
+        assert code == 2
+
+    @pytest.mark.parametrize("method", ["auto", "anneal"])
+    def test_oversized_anneal_exits_2_before_building_terms(self, tmp_path, capsys,
+                                                           monkeypatch, method):
+        def no_terms(lattice):
+            raise AssertionError("term lists built for a lattice over the cap")
+
+        monkeypatch.setattr(quiver, "_terms", no_terms)
+        code, out = run_cli(tmp_path, "quiver-ground", "lx=182", "ly=182",
+                            "electrons=33124", f"method={method}", "sweeps=1")
+        assert code == 2
+        assert not list(out.iterdir())
+        assert capsys.readouterr().err == (
+            "error: an annealed lattice must not exceed 33000 sites: its term lists "
+            "would need more than about 200 MB\n")
+
+    def test_anneal_cap_admits_a_lattice_at_the_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_ANNEAL_SITES_MAX", 12)
+        code, _ = run_cli(tmp_path, "quiver-ground", "lx=3", "ly=4", "electrons=10",
+                          "method=anneal", "sweeps=1", name="at")
+        assert code == 0
+        code, _ = run_cli(tmp_path, "quiver-ground", "lx=1", "ly=13", "electrons=10",
+                          "method=anneal", "sweeps=1", name="over")
         assert code == 2
 
 

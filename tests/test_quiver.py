@@ -1740,6 +1740,54 @@ class TestPairingDiagnostics:
         with pytest.raises(ValueError):
             q.pairing_diagnostics([q.Occupation((0, 1))], lat)
 
+    @staticmethod
+    def reference_pairs(occ, lat):
+        """Hole-pair counts by definition: holes on both ends of a distinct
+        bond, and hole pairs at minimum-image squared distance 2."""
+        holes = occ.holes()
+        bonds = sorted({tuple(sorted(b)) for b in lat.bonds})
+        adjacent = sum(a in holes and b in holes for a, b in bonds)
+        diagonal = 0
+        for a, b in itertools.combinations(holes, 2):
+            dx, dy = lat.displacement(a, b)
+            diagonal += dx * dx + dy * dy == 2
+        return len(holes), adjacent, diagonal
+
+    @staticmethod
+    def random_patterns(n_sites, n_patterns, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(n_patterns):
+            hole = rng.random(n_sites) < rng.random()
+            codes = np.where(hole, 0, rng.integers(1, 4, n_sites))
+            yield q.Occupation(tuple(codes.tolist()))
+        yield q.Occupation((0,) * n_sites)
+
+    def test_pair_counts_match_the_definition_on_small_lattices(self):
+        lattices = [q.Lattice(lx, ly, boundary)
+                    for boundary, low in (("open", 1), ("periodic", 2))
+                    for lx in range(low, 6) for ly in range(low, 6)]
+        for seed, lat in enumerate(lattices):
+            occs = list(self.random_patterns(lat.n_sites, 30, seed))
+            got = [(d.hole_count, d.adjacent_pairs, d.diagonal_pairs)
+                   for d in q.pairing_diagnostics(occs, lat)]
+            assert got == [self.reference_pairs(occ, lat) for occ in occs], lat
+
+    def test_diagnostics_take_no_displacement(self, monkeypatch):
+        lat = q.Lattice(30, 30, "periodic")
+        rng = np.random.default_rng(7)
+        codes = np.where(rng.random(lat.n_sites) < 0.3, 0, rng.integers(1, 4, lat.n_sites))
+        occ = q.Occupation(tuple(codes.tolist()))
+        expected = self.reference_pairs(occ, lat)
+        lat.diagonal_neighbors  # derived from nnn_triples, which take displacements
+
+        def no_displacement(self, a, b):
+            raise AssertionError("displacement called")
+
+        monkeypatch.setattr(q.Lattice, "displacement", no_displacement)
+        d, = q.pairing_diagnostics([occ], lat)
+        assert (d.hole_count, d.adjacent_pairs, d.diagonal_pairs) == expected
+        assert d.diagonal_pairs > 0
+
 
 class TestEnergyEstimates:
     def test_no_holes_formulas_coincide(self):
