@@ -5,9 +5,10 @@ flat key=value parameters). Parameters come from defaults, then an optional
 config file, then command-line pairs; later sources win and unknown keys are
 rejected. Each successful run writes its data files plus a manifest.json
 that echoes the fully resolved configuration, so a run can be repeated
-exactly from its manifest. Handlers only return the text of their files;
-run() alone writes them (each staged as <name>.part, then renamed; a failed
-run leaves none). No output holds a timestamp, so reruns are byte-identical.
+exactly from its manifest. Handlers only return the text of their files (a
+CSV's as chunks of rows); run() alone writes them (each streamed into
+<name>.part, then renamed; a failed run leaves none). No output holds a
+timestamp, so reruns are byte-identical.
 
 Exit codes: 0 success, 2 invalid configuration, parameters or output
 directory, 3 numerical failure (a NaN or infinity bound for JSON included).
@@ -209,30 +210,43 @@ def _fmt_cell(val):
 
 
 def _fmt_column(values, end):
-    """Object array of a column's cells, each followed by end."""
+    """(object array of cells, each followed by end; each row's index into it)."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
         # repr each distinct value once: float64 holds any narrower float
         # exactly, and unique bit patterns, not values, keep -0.0 apart from 0.0
         bits = np.asarray(values, dtype=np.float64).view(np.int64)
         uniq, inverse = np.unique(bits, return_inverse=True)
-        strings = np.array([repr(v) + end for v in uniq.view(np.float64).tolist()],
-                           dtype=object)
-        return strings[inverse]
+        return np.array([repr(v) + end for v in uniq.view(np.float64).tolist()],
+                        dtype=object), inverse
     # plain floats and ints skip _fmt_cell; other arrays convert to them in one call
     if isinstance(values, np.ndarray):
         values = values.tolist()
-    return np.array([(repr(v) if type(v) is float else str(v) if type(v) is int
-                      else _fmt_cell(v)) + end for v in values], dtype=object)
+    strings = np.array([(repr(v) if type(v) is float else str(v) if type(v) is int
+                         else _fmt_cell(v)) + end for v in values], dtype=object)
+    return strings, np.arange(strings.size)
+
+
+_CSV_ROWS = 4096    # rows of CSV text per chunk
 
 
 def _write_csv(columns):
-    """CSV text of {name: equal-length list or 1-d array}, in dict order."""
+    """CSV text of {name: equal-length list or 1-d array}, in dict order: the
+    header line, then chunks of _CSV_ROWS rows. Cells are formatted, and bad
+    columns refused, before it returns."""
     ends = [","] * (len(columns) - 1) + ["\n"]
-    # a (rows, cols) table of cells that carry their separators, joined once;
-    # np.stack raises ValueError on ragged columns
-    cells = np.stack([_fmt_column(col, end) for col, end in zip(columns.values(), ends)],
-                     axis=1)
-    return ",".join(columns) + "\n" + "".join(cells.ravel().tolist())
+    cells = [_fmt_column(col, end) for col, end in zip(columns.values(), ends)]
+    if len({inverse.size for _, inverse in cells}) != 1:
+        raise ValueError("CSV columns must have equal lengths")
+    header, n_rows = ",".join(columns) + "\n", cells[0][1].size
+
+    def chunks():
+        yield header
+        for lo in range(0, n_rows, _CSV_ROWS):
+            # a (rows, cols) block of cells that carry their separators, joined once
+            block = np.stack([strings[inverse[lo:lo + _CSV_ROWS]]
+                              for strings, inverse in cells], axis=1)
+            yield "".join(block.ravel().tolist())
+    return chunks()
 
 
 def _columns(header, rows):
@@ -349,9 +363,9 @@ _SAMPLE_N_MAX = 4_000_000
 # sigma at 20000 steps of 64 nodes peaks at about 180 MB, mostly the solve.
 _BEC_ROWS_MAX = 20_000
 # ground-potential rows, points ** n_particles: at the cap (n_particles=3,
-# points=62) a run takes about 0.15 s and peaks at about 80 MB above a bare
-# interpreter, 52 MB above the library import; its CSV formats each distinct
-# float of a column once.
+# points=62) a run takes about 0.07 s after the import and peaks at about
+# 51 MB above a bare interpreter, 25 MB above the library import; its CSV
+# formats each distinct float of a column once and is written in row blocks.
 _POTENTIAL_ROWS_MAX = 250_000
 # annealed quiver-ground sites, lx * ly: at the cap, one sweep at half filling
 # (open or periodic) takes about 4.5 s and peaks at about 200 MB above a bare
@@ -696,7 +710,8 @@ def run(config):
             "outputs": sorted(files),
         })
         for name, text in files.items():
-            (out / (name + ".part")).write_text(text, encoding="utf-8")
+            with open(out / (name + ".part"), "w", encoding="utf-8") as fh:
+                fh.writelines([text] if isinstance(text, str) else text)
         for name in files:
             os.replace(out / (name + ".part"), out / name)
             placed.append(name)

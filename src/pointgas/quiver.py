@@ -1277,7 +1277,7 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
             continue
         if firsts is not None:
             # rerun the pass, keeping its states, for the first codes that hold a candidate
-            held = np.unique(row)
+            held = np.flatnonzero(np.bincount(row))
             firsts, row = firsts[held], np.searchsorted(held, row)
             least = _forward(tables, closing, electrons, firsts, keep=True)[1]
         rest = np.zeros(row.size) if firsts is None else closing[firsts[row], last]

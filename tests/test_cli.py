@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from contextlib import contextmanager
@@ -198,7 +199,7 @@ class TestWriteCsv:
                                     0x7FF8000000000000], dtype=np.uint64).view(np.float64),
         }
         rows = [{col: vals[i] for col, vals in table.items()} for i in range(n)]
-        text = cli._write_csv(table)
+        text = "".join(cli._write_csv(table))
         assert text == rowwise_csv(list(table), rows)
         assert text.splitlines()[1].startswith("inf,-2.5e+17,-1.0,-4,")
 
@@ -229,10 +230,10 @@ class TestWriteCsv:
         picks = rng.integers(0, len(makers), int(rng.integers(1, 7)))
         table = {f"c{j}": makers[k]() for j, k in enumerate(picks)}
         rows = [{col: vals[i] for col, vals in table.items()} for i in range(n)]
-        assert cli._write_csv(table) == rowwise_csv(list(table), rows)
+        assert "".join(cli._write_csv(table)) == rowwise_csv(list(table), rows)
 
     def test_zero_rows_give_the_header_line(self):
-        assert cli._write_csv({"a": [], "b": np.array([])}) == "a,b\n"
+        assert "".join(cli._write_csv({"a": [], "b": np.array([])})) == "a,b\n"
 
     @pytest.mark.parametrize("column", [[1, True], np.array([False, True]),
                                         [np.bool_(True), 0]])
@@ -243,6 +244,37 @@ class TestWriteCsv:
     def test_ragged_columns_rejected(self):
         with pytest.raises(ValueError):
             cli._write_csv({"a": [1, 2], "b": [1.0]})
+
+    @pytest.mark.parametrize("n_rows", [0, 1, cli._CSV_ROWS - 1, cli._CSV_ROWS,
+                                        cli._CSV_ROWS + 1, 3 * cli._CSV_ROWS + 7])
+    def test_chunk_boundaries(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        table = {"i": np.arange(n_rows), "f": rng.standard_normal(n_rows),
+                 "s": [f"r{k % 5}" for k in range(n_rows)]}
+        rows = [{col: vals[k] for col, vals in table.items()} for k in range(n_rows)]
+        chunks = list(cli._write_csv(table))
+        # the header line, then _CSV_ROWS rows a chunk
+        assert chunks[0] == "i,f,s\n"
+        assert [c.count("\n") for c in chunks[1:]] == [
+            min(cli._CSV_ROWS, n_rows - lo) for lo in range(0, n_rows, cli._CSV_ROWS)]
+        assert "".join(chunks) == rowwise_csv(list(table), rows)
+
+    def test_chunks_hold_one_block_of_text_at_a_time(self):
+        # the 68,921-row calogero table: consumed chunk by chunk, the writer
+        # never holds the whole 3.8 MB text
+        field = functionals.GroundStateField(3, "calogero", omega=1.0, lam=-1.0)
+        mesh, v, _ = functionals._ground_state_map(field, np.linspace(-1.0, 1.0, 41), 3)
+        table = {f"x{i + 1}": m.ravel() for i, m in enumerate(mesh)}
+        table["v"] = v.ravel()
+        del mesh, v
+        tracemalloc.start()
+        try:
+            size = sum(len(chunk) for chunk in cli._write_csv(table))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size > 3_700_000
+        assert peak < 6e6, f"writer traced {peak / 1e6:.1f} MB"
 
     def test_ground_potential_bytes_frozen(self, tmp_path):
         # SHA-256 of the 68,921-row table written by the row-wise formatter
@@ -360,6 +392,26 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: non-finite value in a JSON output (")
+
+    def test_failure_mid_stream_removes_the_staged_file(self, tmp_path, monkeypatch, capsys):
+        write_csv = cli._write_csv
+        out = tmp_path / "out"
+
+        def failing_stream(columns):
+            chunks = write_csv(columns)
+
+            def stream():
+                yield next(chunks)
+                # the header has gone to the staged file; fail before the rows
+                assert [p.name for p in out.iterdir()] == ["potential.csv.part"]
+                raise RuntimeError("injected failure mid-stream")
+            return stream()
+
+        monkeypatch.setattr(cli, "_write_csv", failing_stream)
+        code = cli.main(["ground-potential", "points=11", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: injected failure mid-stream\n"
+        assert not list(out.iterdir())
 
     def test_bad_subcommand_argparse_exit(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -3,8 +3,12 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -911,6 +915,24 @@ class TestGroundSearchExact:
             lat, canonical_params(1, 0, convention="unordered"), 7)
         diags = q.pairing_diagnostics(mins, lat)
         assert all(d.adjacent_pairs == 0 for d in diags)
+
+    def test_ring_search_does_not_load_numpy_ma(self):
+        # np.unique without optional outputs imports numpy.ma on numpy 2.x, a
+        # cold import every fresh process would pay; run in one of those (numpy
+        # 1.x imports numpy.ma with numpy itself)
+        src = str(Path(q.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys\n"
+                "from pointgas import quiver as q\n"
+                "before = set(sys.modules)\n"
+                "p = q.QuiverParams(U=100.0, t=1.0, k=1.8, J=0.6, alpha_q=0, beta_q=1)\n"
+                "e_min, mins = q.ground_search_exact(q.Lattice(4, 4, 'periodic'), p, 12)\n"
+                "print(e_min, len(mins), 'numpy.ma' in set(sys.modules) - before)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["-78.4", "32", "False"]
 
     def test_large_repulsion_empties_doubles(self):
         lat = q.Lattice(3, 3, "open")
