@@ -344,15 +344,17 @@ def emit_svg_lines(table, x_col, y_col, group_col):
 
 # ---------------------------------------------------------------------------
 # Input caps: larger inputs exit 2 before any allocation.  Each keeps the
-# peak RSS above a bare interpreter near 200 MB, as measured on a 2-vCPU
-# Linux VM (Python 3.11, numpy 2.4).
+# peak RSS above a bare interpreter near 200 MB, and under 250 MB, as
+# measured on a 2-vCPU Linux VM (Python 3.11, numpy 2.4; medians of 5 fresh
+# processes, each max RSS less that of `python -c pass`).
 # girard-limit: n_max bounds the occupied_modes arrays (12 MB at the cap); the
 # modes (about length / sqrt(beta)) set the Nystrom nodes: 1500 at width =
 # length take 1024 nodes and 190 MB; near 2000 some take 2048 nodes, 360 MB.
 _GIRARD_N_MAX = 100_000
 _GIRARD_MODES_MAX = 1500
-# ml-weights n_max: the (mixing nodes, n_max + 1) Poisson table peaks at
-# about 225 MB for alpha = 0.01, the rule with the most nodes (2376).
+# ml-weights n_max: the (mixing nodes, n_max + 1) Poisson table; at the cap
+# alpha = 0.01, the rule with the most nodes (2376), peaks at 264 MB max RSS,
+# 249 MB above a bare interpreter (its tracemalloc peak is 223 MB).
 _ML_WEIGHTS_N_MAX = 4096
 # sample-measure n_samples: the MC values stream through in chunks of 1000
 # (the count histogram is read off the sampled chunks), so the cap bounds
@@ -360,7 +362,8 @@ _ML_WEIGHTS_N_MAX = 4096
 # and peak at about 31 MB above a bare interpreter, 5 MB above the import.
 _SAMPLE_N_MAX = 4_000_000
 # bec-curve solve cells over 64, steps x sigmas x max(n_nodes, 64) / 64: one
-# sigma at 20000 steps of 64 nodes peaks at about 180 MB, mostly the solve.
+# sigma at 20000 steps of 64 nodes peaks at 241 MB max RSS, 226 MB above a
+# bare interpreter, mostly the solve (its tracemalloc peak is 184 MB).
 _BEC_ROWS_MAX = 20_000
 # ground-potential rows, points ** n_particles: at the cap (n_particles=3,
 # points=62) a run takes about 0.07 s after the import and peaks at about
@@ -386,7 +389,8 @@ def _cmd_ml_weights(cfg):
     p = cfg.parameters
     if p["n_max"] > _ML_WEIGHTS_N_MAX:
         raise ValueError(f"n_max must not exceed {_ML_WEIGHTS_N_MAX}: the Poisson "
-                         f"table would need more than about 225 MB")
+                         f"table would need more than about 249 MB of RSS "
+                         f"above a bare interpreter")
     weights = functionals.weights_fractional(p["alpha"], p["m"], p["n_max"])
     n = np.arange(p["n_max"] + 1)
     report = {
@@ -547,7 +551,8 @@ def _cmd_bec_curve(cfg):
         raise ValueError("steps must be at least 2")
     if p["steps"] * len(p["sigmas"]) * max(p["n_nodes"], 64) > _BEC_ROWS_MAX * 64:
         raise ValueError(f"steps x sigmas x max(n_nodes, 64) must not exceed "
-                         f"{_BEC_ROWS_MAX} x 64: the grid would need over 180 MB")
+                         f"{_BEC_ROWS_MAX} x 64: the grid would need over 226 MB of RSS "
+                         f"above a bare interpreter")
     if not 0.0 < p["tmin"] < p["tmax"]:
         raise ValueError("need 0 < tmin < tmax")
     if any(s < 0.0 for s in p["sigmas"]):

@@ -918,6 +918,13 @@ def _ring_firsts(width: int) -> tuple:
     return tuple(np.split(reps, np.searchsorted(reps, _code_classes(width)[2][1:-1])))
 
 
+def _slice_shape(lattice: Lattice) -> tuple[int, int, bool]:
+    """(n_slices, width, ring): max(lx, ly) slices of min(lx, ly) sites, and whether
+    a closing table joins the last slice to the first (periodic, 3 or more slices)."""
+    n_slices, width = max(lattice.lx, lattice.ly), min(lattice.lx, lattice.ly)
+    return n_slices, width, lattice.boundary == "periodic" and n_slices >= 3
+
+
 @lru_cache(maxsize=8)
 def _slice_plan(lattice: Lattice):
     """Slices along the longer side and the energy terms of each transfer table.
@@ -933,9 +940,9 @@ def _slice_plan(lattice: Lattice):
     on a two-slice ring every term between the slices, wrap bonds included,
     is in parts[1].
     """
+    n_slices, width, ring = _slice_shape(lattice)
     grid = np.arange(lattice.n_sites).reshape(lattice.lx, lattice.ly)
-    slices = grid if lattice.lx >= lattice.ly else grid.T
-    n_slices, width = slices.shape
+    slices = grid if lattice.lx == n_slices else grid.T
     slice_of = np.empty(lattice.n_sites, dtype=np.intp)
     slice_of[slices] = np.arange(n_slices)[:, None]
     sites, rows, _, _ = _terms(lattice)
@@ -944,17 +951,15 @@ def _slice_plan(lattice: Lattice):
         touched = sorted({int(slice_of[s]) for s in triple if s < lattice.n_sites})
         if touched[-1] - touched[0] <= 1:
             owner.append(touched[-1])
-        elif touched == [0, n_slices - 1] and lattice.boundary == "periodic":
+        elif touched == [0, n_slices - 1] and ring:
             owner.append(n_slices)
         else:
             raise RuntimeError(f"energy term on sites {triple} spans non-adjacent slices")
     owner = np.array(owner)
-    spans = [(0,)] + [(k - 1, k) for k in range(1, n_slices)] + [(n_slices - 1, 0)]
+    spans = [(0,)] + [(k - 1, k) for k in range(1, n_slices)] + [(n_slices - 1, 0)] * ring
     parts = []
     for k, span in enumerate(spans):
         mine = owner == k
-        if k == n_slices and not mine.any():
-            break
         # the phantom hole takes the position after the span's sites
         position = np.full(lattice.n_sites + 1, len(span) * width)
         for j, s in enumerate(span):
@@ -1004,7 +1009,7 @@ def _transfer_tables(lattice: Lattice, p: QuiverParams):
         if key not in built:
             built[key] = _slice_table(lattice, p, group, *slices[list(span)])
     tables = [built[key] for key, _, _ in parts]
-    closing = tables.pop().T if len(parts) > len(slices) else None
+    closing = tables.pop().T if _slice_shape(lattice)[2] else None
     return tables, closing
 
 
@@ -1110,16 +1115,11 @@ def _exact_search_work(lattice: Lattice, electrons: int, stop: float = math.inf)
     product of each pass (one pass per first-slice class on a ring, over its
     `_ring_firsts`).  Stops counting once the total passes `stop`.
     """
-    slices, parts = _slice_plan(lattice)
-    n_slices, width = slices.shape
-    ring = len(parts) > n_slices
+    n_slices, width, ring = _slice_shape(lattice)
     sizes = [math.comb(2 * width, c) for c in range(2 * width + 1)]
-    if ring:
-        reps = _ring_firsts(width)
-        firsts = [(reps[a].size, a) for a in _first_classes(width, n_slices, electrons)]
-        work = 4 ** width * sum(size for size, _ in firsts)
-    else:
-        firsts, work = [(1, 0)], 0
+    firsts = ([(_ring_firsts(width)[a].size, a) for a in _first_classes(width, n_slices, electrons)]
+              if ring else [(1, 0)])
+    work = 4 ** width * sum(size for size, _ in firsts) if ring else 0
     for size, off in firsts:
         for _, _, blocks in _pass_blocks(width, n_slices, electrons, off, ring):
             if work > stop:
@@ -1134,14 +1134,13 @@ def _exact_search_bytes(lattice: Lattice) -> int:
     one backtracking pass keeps, at the electron count that keeps the most:
     on a ring a rerun keeps one row per held first code, at most the
     representatives of the largest first-slice class."""
-    slices, parts = _slice_plan(lattice)
-    n_slices, width = slices.shape
+    n_slices, width, ring = _slice_shape(lattice)
     top, n_codes = 2 * width, 4 ** width
-    ring = len(parts) > n_slices
     # one layer for slice 0 and, on a ring, one for slice 1
     layers = 1 + ring + sum(top * k + 1 for k in range(1, n_slices - 1 - ring))
     rows = max(reps.size for reps in _ring_firsts(width)) if ring else 1
-    tables = sum(n_codes ** key[0] for key in {key for key, _, _ in parts})
+    # slice 0's table, one shared by every later slice and a ring's closing one
+    tables = n_codes + n_codes ** 2 * ((n_slices > 1) + ring)
     return 8 * (tables + rows * layers * n_codes)
 
 
@@ -1151,12 +1150,13 @@ def exact_search_fits(lattice: Lattice) -> bool:
 
     The cost rule: the forward pass's work at half filling, the costliest
     electron count (see `_exact_search_work`), plus _BYTE_MADDS per byte of
-    its tables and kept states (`_exact_search_bytes`) stays within one
-    budget of about 1 s.  It admits every lattice of at most 12 sites,
-    strips of width 4 and 5 up to 4x47 and 5x13, rings of width 3 and 4 up
-    to 3x48 and 4x11 (narrower ones longer), and no ring of width 5 or more.
+    its tables and kept states (`_exact_search_bytes`), both priced from
+    `_slice_shape` alone, stays within one budget of about 1 s.  It admits
+    every lattice of at most 12 sites, strips of width 4 and 5 up to 4x47
+    and 5x13, rings of width 3 and 4 up to 3x48 and 4x11 (narrower ones
+    longer), and no ring of width 5 or more.
     """
-    n_slices, width = max(lattice.lx, lattice.ly), min(lattice.lx, lattice.ly)
+    n_slices, width, _ = _slice_shape(lattice)
     # at least one table of 16**w entries and one block product per slice
     floor = _BYTE_MADDS * 8 * 16 ** width * (n_slices > 1) + _PRODUCT_MADDS * (n_slices - 1)
     if floor > _EXACT_BUDGET:
@@ -1236,7 +1236,7 @@ def ground_search_exact(lattice: Lattice, p: QuiverParams, electrons: int):
     if not 0 <= electrons <= 2 * n:
         raise ValueError(f"electron count must lie in 0..{2 * n}")
     slices, parts = _slice_plan(lattice)
-    n_slices, width = slices.shape
+    n_slices, width, _ = _slice_shape(lattice)
     codes, count, _ = _code_classes(width)
     n_codes = codes.size
     slack = _rounding_slack(lattice, p, len(parts))

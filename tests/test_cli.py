@@ -966,6 +966,19 @@ class TestQuiverGround:
             "error: an annealed lattice must not exceed 33000 sites: its term lists "
             "would need more than about 200 MB\n")
 
+    def test_exact_search_refuses_a_long_strip_from_its_shape(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def no_terms(lattice):
+            raise AssertionError("term lists built to price the exact search")
+
+        monkeypatch.setattr(quiver, "_terms", no_terms)
+        code, out = run_cli(tmp_path, "quiver-ground", "lx=1", "ly=33000", "method=exact")
+        assert code == 2
+        assert not list(out.iterdir())
+        assert capsys.readouterr().err == (
+            "error: the exact transfer-matrix search on 1x33000 open exceeds its cost "
+            "budget; use ground_search_anneal for this lattice\n")
+
     def test_anneal_cap_admits_a_lattice_at_the_cap(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_ANNEAL_SITES_MAX", 12)
         code, _ = run_cli(tmp_path, "quiver-ground", "lx=3", "ly=4", "electrons=10",

@@ -171,6 +171,18 @@ def row_by_row_tables(lattice, p):
     return tables
 
 
+def plan_bytes(lattice):
+    """`_exact_search_bytes` counted from `_slice_plan`: the tables of its distinct keys."""
+    slices, parts = q._slice_plan(lattice)
+    n_slices, width = slices.shape
+    top, n_codes = 2 * width, 4 ** width
+    ring = len(parts) > n_slices
+    layers = 1 + ring + sum(top * k + 1 for k in range(1, n_slices - 1 - ring))
+    rows = max(reps.size for reps in q._ring_firsts(width)) if ring else 1
+    tables = sum(n_codes ** key[0] for key in {key for key, _, _ in parts})
+    return 8 * (tables + rows * layers * n_codes)
+
+
 def dense_least_totals(lattice, p, electrons):
     """Oracle: the least DP sums total[first, last] of the dense transfer-matrix pass.
 
@@ -1070,6 +1082,31 @@ class TestGroundSearchExact:
     @pytest.mark.parametrize("shape", [(5, 5), (5, 6), (6, 5), (5, 8), (6, 6), (7, 9)])
     def test_cost_rule_rejects_wide_rings(self, shape):
         assert not q.exact_search_fits(q.Lattice(*shape, "periodic"))
+
+    def test_slice_shape_prices_the_slice_plan(self):
+        # one 1-slice table, one 2-slice table shared by every later slice
+        # and, on a ring of 3 or more slices, the distinct closing table
+        for width, length in itertools.product(range(1, 6), range(1, 14)):
+            for boundary in ("open", "periodic") if min(width, length) >= 2 else ("open",):
+                lat = q.Lattice(width, length, boundary)
+                n_slices, w, ring = q._slice_shape(lat)
+                slices, parts = q._slice_plan(lat)
+                assert slices.shape == (n_slices, w) == (max(width, length), min(width, length))
+                assert ring == (len(parts) > n_slices)
+                spans = [key[0] for key in {key for key, _, _ in parts}]
+                assert (spans.count(1), spans.count(2)) == (1, (n_slices > 1) + ring)
+                assert q._exact_search_bytes(lat) == plan_bytes(lat), (width, length, boundary)
+
+    def test_pricing_builds_no_term_list(self, monkeypatch):
+        def refuse(lattice):
+            raise AssertionError("the cost rule built a term list")
+
+        monkeypatch.setattr(q, "_terms", refuse)
+        monkeypatch.setattr(q, "_slice_plan", refuse)
+        for shape, boundary, fits in [((1, 33000), "open", False), ((2, 16000), "open", False),
+                                      ((3, 11000), "periodic", False), ((4, 47), "open", True),
+                                      ((5, 5), "periodic", False)]:
+            assert q.exact_search_fits.__wrapped__(q.Lattice(*shape, boundary)) is fits
 
     @pytest.mark.parametrize("lx,ly,boundary", [
         (1, 7, "open"), (2, 5, "open"), (2, 7, "periodic"), (3, 5, "open"),
